@@ -26,7 +26,6 @@ from .lang import (
     ParseError,
     ParsedUtterance,
     default_lexicon,
-    is_generic,
     load_lexicon,
     parse,
     parse_text,

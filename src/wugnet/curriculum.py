@@ -198,7 +198,8 @@ class _Generator:
             for i, obj in enumerate(rest):
                 for step in (0, 2, 4):
                     rows.append((obj, _COLOR_ROTATION[(i + step) % len(_COLOR_ROTATION)], 1))
-        return [(obj, color, n) for obj, color, n in rows if obj in set(self.inventory)]
+        inv = set(self.inventory)
+        return [(obj, color, n) for obj, color, n in rows if obj in inv]
 
     def colors_phase(self) -> list[LearningInstance]:
         out = []

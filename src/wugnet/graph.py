@@ -3,13 +3,21 @@
 Concepts are (kind, name) pairs. Directed edges carry an association
 strength in [0, 1] that plateaus toward 1.0 under repeated observation
 and jumps straight to 1.0 when asserted by a generic statement.
+
+Every edge write goes through one private path, ConceptNetwork._write,
+which also keeps a category -> members index, so members_of costs
+O(members) rather than a scan of every edge. member_average owns the
+float summation order of feature inheritance; keeping that order fixed is
+what keeps saved network files byte-identical.
 """
 
 from __future__ import annotations
 
 import re
+from bisect import insort
 from dataclasses import dataclass
 from pathlib import Path
+from typing import NamedTuple
 
 OBJECT = "object"
 ATTRIBUTE = "attribute"
@@ -39,8 +47,12 @@ class NetworkFormatError(ValueError):
         super().__init__(message if line is None else f"line {line}: {message}")
 
 
-@dataclass(frozen=True, order=True)
-class Concept:
+class Concept(NamedTuple):
+    """A (kind, name) pair; sorts by kind, then name.
+
+    A named tuple, so hashing and equality run in C on every dict probe.
+    """
+
     kind: str
     name: str
 
@@ -70,10 +82,21 @@ def _check_label(target: Concept, label: str) -> None:
         raise EdgeRuleError(f"is edge must point at an attribute or category, not {target.key}")
 
 
+def _member_order(node: Concept) -> tuple[str, str]:
+    return (node.name, node.kind)
+
+
 class ConceptNetwork:
     """Mutable store of concepts and slot-labeled association edges.
 
     Single writer during learning; read-only (by convention) afterwards.
+    observe_association, assert_generic and set_strength all write through
+    _write, the one place that validates an edge and gets or creates it.
+    When it creates an `is` edge into a category it inserts the source
+    into that category's member list, kept sorted by (name, kind), so
+    members_of is a copy of that list: O(members), not O(edges).
+    member_average sums over that list in its order; that fixed order is
+    what keeps network files holding inherited features byte-identical.
     """
 
     def __init__(self, learning_rate: float = DEFAULT_LEARNING_RATE):
@@ -81,6 +104,7 @@ class ConceptNetwork:
         self._nodes: dict[tuple[str, str], Concept] = {}
         self._edges: dict[tuple[Concept, Concept, str], Edge] = {}
         self._out: dict[Concept, dict[tuple[Concept, str], Edge]] = {}
+        self._members: dict[Concept, list[Concept]] = {}
 
     # -- nodes ---------------------------------------------------------
 
@@ -108,28 +132,57 @@ class ConceptNetwork:
 
     def named(self, name: str) -> list[Concept]:
         """All concepts with this name, across kinds, sorted by kind."""
-        return sorted(n for n in self._nodes.values() if n.name == name)
+        return sorted(node for kind in KINDS if (node := self._nodes.get((kind, name))))
 
     def concepts(self) -> list[Concept]:
         return sorted(self._nodes.values())
 
     def __contains__(self, node: Concept) -> bool:
-        return (node.kind, node.name) in self._nodes
+        return node in self._nodes
 
     def _require_member(self, node: Concept) -> None:
-        if (node.kind, node.name) not in self._nodes:
+        if node not in self._nodes:
             raise KeyError(f"concept {node.key} is not in this network")
 
     # -- edges ---------------------------------------------------------
 
     def edges(self) -> list[Edge]:
-        return sorted(
-            self._edges.values(),
-            key=lambda e: (e.source.kind, e.source.name, e.target.kind, e.target.name, e.label),
-        )
+        """All edges, sorted by source, target (each by kind, then name) and label."""
+        return sorted(self._edges.values(), key=lambda e: (e.source, e.target, e.label))
 
     def edge(self, src: Concept, dst: Concept, label: str) -> Edge | None:
         return self._edges.get((src, dst, label))
+
+    def _write(self, src: Concept, dst: Concept, label: str, weight: float | None,
+               generic: bool) -> float:
+        """The one edge write path; returns the edge's new weight.
+
+        weight None applies the plateauing update, which leaves a generic
+        edge at 1.0; otherwise the weight and generic flag are stored.
+        Nothing changes unless every check passes.
+        """
+        self._require_member(src)
+        self._require_member(dst)
+        _check_label(dst, label)
+        if weight is not None:
+            if not 0.0 <= weight <= 1.0:
+                raise ValueError(f"edge weight {weight} outside [0, 1]")
+            if generic and weight != 1.0:
+                raise ValueError("generic edges must have weight 1.0")
+        e = self._edges.get((src, dst, label))
+        if e is None:
+            e = Edge(src, dst, label)
+            self._edges[(src, dst, label)] = e
+            self._out[src][(dst, label)] = e
+            if label == IS and dst.kind == CATEGORY:
+                insort(self._members.setdefault(dst, []), src, key=_member_order)
+        if weight is None:
+            if not e.generic_origin:
+                e.weight = e.weight + self.learning_rate * (1.0 - e.weight)
+        else:
+            e.weight = weight
+            e.generic_origin = generic
+        return e.weight
 
     def observe_association(self, src: Concept, dst: Concept, label: str) -> float:
         """Strengthen src->dst by one co-occurrence: a <- a + r*(1-a).
@@ -137,50 +190,16 @@ class ConceptNetwork:
         Generic-origin edges stay at 1.0 (the update has its fixed point
         there anyway). Returns the new weight.
         """
-        self._require_member(src)
-        self._require_member(dst)
-        _check_label(dst, label)
-        e = self._edges.get((src, dst, label))
-        if e is None:
-            e = Edge(src, dst, label, 0.0)
-            self._edges[(src, dst, label)] = e
-            self._out[src][(dst, label)] = e
-        if e.generic_origin:
-            return 1.0
-        e.weight = e.weight + self.learning_rate * (1.0 - e.weight)
-        return e.weight
+        return self._write(src, dst, label, None, False)
 
     def assert_generic(self, src: Concept, dst: Concept, label: str) -> float:
         """Pin src->dst at the maximum strength 1.0 and mark it generic."""
-        self._require_member(src)
-        self._require_member(dst)
-        _check_label(dst, label)
-        e = self._edges.get((src, dst, label))
-        if e is None:
-            e = Edge(src, dst, label)
-            self._edges[(src, dst, label)] = e
-            self._out[src][(dst, label)] = e
-        e.weight = 1.0
-        e.generic_origin = True
-        return 1.0
+        return self._write(src, dst, label, 1.0, True)
 
     def set_strength(self, src: Concept, dst: Concept, label: str, weight: float,
                      generic: bool = False) -> None:
         """Write an edge weight directly (used for feature inheritance)."""
-        self._require_member(src)
-        self._require_member(dst)
-        _check_label(dst, label)
-        if not 0.0 <= weight <= 1.0:
-            raise ValueError(f"edge weight {weight} outside [0, 1]")
-        if generic and weight != 1.0:
-            raise ValueError("generic edges must have weight 1.0")
-        e = self._edges.get((src, dst, label))
-        if e is None:
-            e = Edge(src, dst, label)
-            self._edges[(src, dst, label)] = e
-            self._out[src][(dst, label)] = e
-        e.weight = weight
-        e.generic_origin = generic
+        self._write(src, dst, label, weight, generic)
 
     def get_strength(self, src: Concept, dst: Concept, label: str) -> float:
         """Current weight of src->dst, 0.0 when no such edge exists."""
@@ -194,14 +213,33 @@ class ConceptNetwork:
         out.sort(key=lambda t: (t[0].name, t[0].kind, t[1]))
         return out
 
-    def members_of(self, category: Concept) -> list[Concept]:
-        """Concepts holding an `is` edge into the category, sorted by name."""
+    def _member_list(self, category: Concept) -> list[Concept]:
         self._require_member(category)
         if category.kind != CATEGORY:
             raise ValueError(f"{category.key} is not a category")
-        members = [e.source for e in self._edges.values()
-                   if e.target == category and e.label == IS]
-        return sorted(members, key=lambda n: (n.name, n.kind))
+        return self._members.get(category, [])
+
+    def members_of(self, category: Concept) -> list[Concept]:
+        """Concepts holding an `is` edge into the category, of any weight, sorted by name."""
+        return list(self._member_list(category))
+
+    def member_average(self, category: Concept) -> list[tuple[Concept, str, float]]:
+        """Per (target, label), the mean weight of the members' edges to it.
+
+        A member without such an edge counts as 0.0. Sorted by target kind,
+        target name, then label; empty when the category has no members.
+        Each total starts at 0.0 and adds the members' weights in
+        members_of order. That summation order is a contract: it makes
+        the means, and the network files holding inherited features,
+        bit-identical from one version to the next.
+        """
+        members = self._member_list(category)
+        totals: dict[tuple[Concept, str], float] = {}
+        for member in members:
+            for key, e in self._out[member].items():
+                totals[key] = totals.get(key, 0.0) + e.weight
+        n = len(members)
+        return [(target, label, totals[(target, label)] / n) for target, label in sorted(totals)]
 
     # -- whole-network helpers ------------------------------------------
 

@@ -304,11 +304,6 @@ class ParsedUtterance:
     is_generic: bool = False
 
 
-def is_generic(parsed: ParsedUtterance) -> bool:
-    """Bare-plural verdict recorded at parse time."""
-    return parsed.is_generic
-
-
 def _resolve_plural(token: str, lex: Lexicon) -> tuple[str, bool] | None:
     """(lemma, novel) when the token reads as a plural noun, else None."""
     e = lex.get(token)

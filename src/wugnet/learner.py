@@ -248,18 +248,12 @@ def _membership_generic(net: ConceptNetwork, report: ObservationReport,
     if net.named(subject_lemma):
         raise UnlearnableGeneric(f"'{subject_lemma}' already names a non-object concept")
 
-    # novel object into a known category: membership plus feature inheritance
-    members = net.members_of(category)
+    # novel object into a known category: membership plus feature inheritance,
+    # averaged over the members before the subject joins them
+    averages = net.member_average(category)
     subject = _ensure(net, report, subject_lemma, OBJECT)
     _assert_edge(net, report, subject, category, IS)
-    if not members:
-        return
-    totals: dict[tuple[Concept, str], float] = {}
-    for member in members:
-        for target, label, weight in net.neighbors(member):
-            totals[(target, label)] = totals.get((target, label), 0.0) + weight
-    for (target, label) in sorted(totals, key=lambda k: (k[0].kind, k[0].name, k[1])):
-        mean = totals[(target, label)] / len(members)
+    for target, label, mean in averages:
         if mean <= 0.0 or target == subject:
             continue
         existing = net.edge(subject, target, label)

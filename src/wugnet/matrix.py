@@ -101,7 +101,10 @@ def cosine_similarity(u, v) -> float:
     vv = float(np.dot(v, v))
     if uu == 0.0 or vv == 0.0:
         return 0.0
-    return min(1.0, max(0.0, float(np.dot(u, v)) / math.sqrt(uu * vv)))
+    denom = math.sqrt(uu * vv)
+    if denom == 0.0:  # uu * vv underflowed; both norms are tiny but nonzero
+        denom = math.sqrt(uu) * math.sqrt(vv)
+    return min(1.0, max(0.0, float(np.dot(u, v)) / denom))
 
 
 @dataclass

@@ -2,6 +2,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from inheritance_oracle import members_scan
 from wugnet.graph import (
     ACTION,
     ATTRIBUTE,
@@ -243,21 +244,39 @@ def test_monotone_convergence(k):
 
 
 @settings(max_examples=50)
-@given(st.lists(st.sampled_from(["observe", "generic"]), min_size=1, max_size=40))
+@given(st.lists(
+    st.tuples(st.sampled_from(["observe", "generic", "set"]),
+              st.sampled_from([("a", OBJECT), ("c", OBJECT), ("b", ATTRIBUTE)]),
+              st.sampled_from([("b", ATTRIBUTE), ("animal", CATEGORY), ("food", CATEGORY)]),
+              st.sampled_from([0.0, 0.5, 1.0])),
+    min_size=1, max_size=40))
 def test_weights_stay_in_bounds_under_any_interleaving(ops):
     net = ConceptNetwork()
-    a = net.add_concept("a", OBJECT)
-    b = net.add_concept("b", ATTRIBUTE)
-    saw_generic = False
-    for op in ops:
+    generic = set()
+    for op, (src_name, src_kind), (dst_name, dst_kind), weight in ops:
+        src = net.add_concept(src_name, src_kind)
+        dst = net.add_concept(dst_name, dst_kind)
         if op == "observe":
-            w = net.observe_association(a, b, IS)
+            w = net.observe_association(src, dst, IS)
+        elif op == "generic":
+            w = net.assert_generic(src, dst, IS)
+            generic.add((src, dst))
         else:
-            w = net.assert_generic(a, b, IS)
-            saw_generic = True
+            net.set_strength(src, dst, IS, weight)
+            w = weight
+            generic.discard((src, dst))
         assert 0.0 <= w <= 1.0
-        if saw_generic:
-            assert net.get_strength(a, b, IS) == 1.0
+        for s, d in generic:
+            assert net.get_strength(s, d, IS) == 1.0
+    # the member index agrees with a full edge scan, also after copy and reload
+    copied = net.copy()
+    loaded = network_from_text(network_to_text(net))
+    for category in (c for c in net.concepts() if c.kind == CATEGORY):
+        members = net.members_of(category)
+        assert len(set(members)) == len(members)
+        assert members == members_scan(net, category)
+        assert copied.members_of(category) == members
+        assert loaded.members_of(category) == members
 
 
 @settings(max_examples=30)

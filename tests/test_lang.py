@@ -7,7 +7,6 @@ from wugnet.lang import (
     LexiconFormatError,
     ParseError,
     default_lexicon,
-    is_generic,
     parse,
     parse_text,
     tokenize,
@@ -27,7 +26,7 @@ def test_tokenize_joins_multiword_colors():
 
 def test_parse_bare_plural_verb_is_generic():
     p = parse_text("bears sit")
-    assert p.is_generic and is_generic(p)
+    assert p.is_generic
     assert p.verb.lemma == "sit"
     assert p.noun_phrases[0].lemma == "bear"
     assert p.noun_phrases[0].is_bare_plural

@@ -3,7 +3,7 @@ import random
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from wugnet.graph import ATTRIBUTE, CATEGORY, IS, OBJECT, SLOT1, SLOT2, ConceptNetwork
@@ -153,6 +153,7 @@ def test_cosine_similarity_basics():
 @settings(max_examples=100)
 @given(st.lists(st.floats(min_value=0, max_value=1), min_size=2, max_size=8),
        st.lists(st.floats(min_value=0, max_value=1), min_size=2, max_size=8))
+@example([0.0, 1.5e-136], [0.0, 1.5e-136])  # |u|^2 * |v|^2 underflows to 0.0
 def test_cosine_symmetry_and_range(u, v):
     n = min(len(u), len(v))
     u, v = u[:n], v[:n]
