@@ -3,6 +3,8 @@
 
 The leaf order shows the spontaneously formed groups (liquids, people,
 sitters, rollables) without any generic statements in the curriculum.
+Equivalent to `wugnet learn`, `wugnet export matrix` and `wugnet export
+clusters` run in turn.
 
 Usage: python scripts/export_clustering.py [--out results] [--seed 0]
 """
@@ -13,10 +15,7 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
-from wugnet.curriculum import builtin_curriculum
-from wugnet.graph import ConceptNetwork, save_network
-from wugnet.learner import learn_curriculum
-from wugnet.matrix import agglomerative_order, build_matrix, clusters_to_text, matrix_to_csv
+from wugnet import cli
 
 
 def main():
@@ -27,19 +26,15 @@ def main():
 
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-
-    net = ConceptNetwork()
-    learn_curriculum(net, builtin_curriculum("objects-and-actions", seed=args.seed))
-    matrix = build_matrix(net)
-    leaves, tree = agglomerative_order(matrix)
-
-    save_network(net, out / "objects-and-actions.net")
-    (out / "matrix.csv").write_text(matrix_to_csv(matrix), encoding="utf-8")
-    (out / "clusters.txt").write_text(clusters_to_text(leaves, tree), encoding="utf-8")
-
-    print("leaf order:", " ".join(c.name for c in leaves))
-    print(f"wrote {out}/objects-and-actions.net, {out}/matrix.csv, {out}/clusters.txt")
-    return 0
+    network = str(out / "objects-and-actions.net")
+    for argv in (["learn", "--curriculum", "builtin:objects-and-actions",
+                  "--network", network, "--seed", str(args.seed)],
+                 ["export", "matrix", "--network", network, "--out", str(out / "matrix.csv")],
+                 ["export", "clusters", "--network", network, "--out", str(out / "clusters.txt")]):
+        code = cli.main(argv)
+        if code != cli.EXIT_OK:
+            return code
+    return cli.EXIT_OK
 
 
 if __name__ == "__main__":

@@ -109,30 +109,99 @@ def cosine_similarity(u, v) -> float:
 
 @dataclass
 class ClusterNode:
-    """Binary merge tree; leaves carry concepts, internal nodes a height."""
+    """Binary merge tree; leaves carry concepts, internal nodes a height.
+
+    leaves() and to_text() walk the tree with an explicit stack, so an
+    all-tied matrix (a chain n-1 levels deep) does not hit the recursion limit.
+    """
 
     height: float
     concept: Concept | None = None
     children: tuple["ClusterNode", "ClusterNode"] | None = None
 
     def leaves(self) -> list[Concept]:
-        if self.concept is not None:
-            return [self.concept]
-        return self.children[0].leaves() + self.children[1].leaves()
+        out, stack = [], [self]
+        while stack:
+            node = stack.pop()
+            if node.concept is not None:
+                out.append(node.concept)
+            else:
+                stack.extend(reversed(node.children))
+        return out
 
     def to_text(self) -> str:
-        if self.concept is not None:
-            return self.concept.name
-        left, right = self.children
-        return f"({left.to_text()} {right.to_text()}):{self.height:.6f}"
+        parts, stack = [], [self]
+        while stack:
+            item = stack.pop()
+            if isinstance(item, str):
+                parts.append(item)
+            elif item.concept is not None:
+                parts.append(item.concept.name)
+            else:
+                left, right = item.children
+                parts.append("(")
+                stack.extend((f"):{item.height:.6f}", right, " ", left))
+        return "".join(parts)
+
+
+def _cosine_distances(weights: np.ndarray) -> np.ndarray:
+    """n x n array of 1 - cosine_similarity(row i, row j), bit for bit.
+
+    Each dot product is one np.dot on a pair of row views, as in
+    cosine_similarity; a Gram product W @ W.T sums in another order and can
+    differ in the last bit. The rest of cosine_similarity's arithmetic (the
+    zero-norm rule, the underflow fallback, the clamp) runs on whole arrays.
+    """
+    rows = list(np.asarray(weights, dtype=np.float64))
+    n = len(rows)
+    dots = np.empty((n, n))
+    for i, u in enumerate(rows):
+        dots[i, i:] = np.fromiter(map(u.dot, rows[i:]), np.float64, n - i)
+    lower = np.tril_indices(n, -1)
+    dots[lower] = dots.T[lower]
+    sq = dots.diagonal().copy()
+    with np.errstate(all="ignore"):
+        denom = np.sqrt(np.outer(sq, sq))
+        underflow = denom == 0.0  # uu * vv underflowed, or a norm is zero
+        denom[underflow] = np.outer(np.sqrt(sq), np.sqrt(sq))[underflow]
+        sim = np.divide(dots, denom, out=dots)
+    del denom, underflow
+    # max(0.0, x) then min(1.0, x), as Python evaluates them (NaN and -0.0 give 0.0)
+    sim[~(sim > 0.0)] = 0.0
+    sim[~(sim < 1.0)] = 1.0
+    zero = sq == 0.0
+    sim[zero], sim[:, zero] = 0.0, 0.0
+    return np.subtract(1.0, sim, out=sim)
 
 
 def agglomerative_order(matrix: ConceptMatrix) -> tuple[list[Concept], ClusterNode | None]:
     """Average-linkage clustering over cosine distance (1 - similarity).
 
     Returns the leaf order for heatmap rendering plus the merge tree.
-    Distance ties break on the lexicographically smallest leaf names, so
-    the ordering is fully deterministic.
+
+    Exact greedy algorithm on one dense n x n float64 distance array
+    (O(n^2) memory; each merge is a few whole-array numpy passes, O(n^3)
+    time in all): every merge joins the globally closest pair of active
+    clusters, and the merged row is the Lance-Williams average
+    (sa*d(a,k) + sb*d(b,k)) / (sa+sb). Initial distances are
+    1 - cosine_similarity(row i, row j) bit for bit.
+
+    Ties are broken in full, so the order is deterministic:
+      1. among pairs at the minimum distance, take the smallest
+         (min, max) pair of cluster names, where a cluster's name is the
+         smallest leaf name in it;
+      2. if concepts of different kinds share a name, several pairs can
+         tie on names too; then pairs of two original leaves (i, j) come
+         first in (i, j) row order, then pairs involving a merged cluster,
+         ordered by the newer cluster's creation id (leaves are 0..n-1,
+         merges n, n+1, ...) and then by the other cluster's id.
+    The child with the smaller name goes left; on equal names the older
+    cluster goes left.
+
+    tests/clustering_oracle.py keeps the original dict-of-pairs version;
+    this one reproduces its merge order, its heights and its tree bit for
+    bit. A nearest-neighbour chain would merge in another order, so its
+    Lance-Williams sums could differ in the last bit.
     """
     n = len(matrix.concepts)
     if n == 0:
@@ -141,59 +210,43 @@ def agglomerative_order(matrix: ConceptMatrix) -> tuple[list[Concept], ClusterNo
         leaf = ClusterNode(0.0, concept=matrix.concepts[0])
         return [matrix.concepts[0]], leaf
 
-    dist: dict[tuple[int, int], float] = {}
-    rows = matrix.weights
-    for i in range(n):
-        for j in range(i + 1, n):
-            dist[(i, j)] = 1.0 - cosine_similarity(rows[i], rows[j])
+    dist = _cosine_distances(matrix.weights)
+    np.fill_diagonal(dist, np.inf)  # inf marks a pair that can no longer merge
+    name_rank = {name: r for r, name in enumerate(sorted({c.name for c in matrix.concepts}))}
+    # per slot: the rank of the cluster's smallest leaf name, its creation id, size, tree
+    rank = np.array([name_rank[c.name] for c in matrix.concepts])
+    cid = np.arange(n)
+    size = [1] * n
+    nodes = [ClusterNode(0.0, concept=c) for c in matrix.concepts]
 
-    class _Cluster:
-        __slots__ = ("node", "size", "min_name")
+    for next_id in range(n, 2 * n - 1):
+        d = dist.min()
+        tied = dist == d
+        slots = np.flatnonzero(tied.any(axis=1))
+        firsts = slots[rank[slots] == rank[slots].min()]
+        partner_rank = np.where(tied[firsts], rank, len(name_rank))
+        rows, partners = np.nonzero(partner_rank == partner_rank.min())
+        a, b, k = firsts[rows], partners, 0
+        if len(a) > 1:  # equal names too: first pair in creation order
+            lo, hi = np.minimum(cid[a], cid[b]), np.maximum(cid[a], cid[b])
+            merged = hi >= n
+            k = np.lexsort((np.where(merged, lo, hi), np.where(merged, hi, lo), merged))[0]
+        a, b = a[k], b[k]
+        if cid[a] > cid[b]:
+            a, b = b, a
+        left, right = (a, b) if rank[a] <= rank[b] else (b, a)
+        nodes[a] = ClusterNode(float(d), children=(nodes[left], nodes[right]))
+        sa, sb = size[a], size[b]
+        # unweighted average linkage via the Lance-Williams update; the inf
+        # diagonal and inactive slots stay inf
+        row = (sa * dist[a] + sb * dist[b]) / (sa + sb)
+        dist[a], dist[:, a] = row, row
+        dist[b], dist[:, b] = np.inf, np.inf
+        size[a] = sa + sb
+        rank[a] = min(rank[a], rank[b])
+        cid[a] = next_id
 
-        def __init__(self, node, size, min_name):
-            self.node = node
-            self.size = size
-            self.min_name = min_name
-
-    active: dict[int, _Cluster] = {
-        i: _Cluster(ClusterNode(0.0, concept=c), 1, c.name)
-        for i, c in enumerate(matrix.concepts)
-    }
-    next_id = n
-
-    def pair_key(i: int, j: int) -> tuple[int, int]:
-        return (i, j) if i < j else (j, i)
-
-    def tie_rank(pair):
-        p, q = pair
-        return tuple(sorted((active[p].min_name, active[q].min_name)))
-
-    while len(active) > 1:
-        d = min(dist.values())
-        i, j = min((pair for pair, dv in dist.items() if dv == d), key=tie_rank)
-        a, b = active[i], active[j]
-        left, right = (a, b) if a.min_name <= b.min_name else (b, a)
-        merged = _Cluster(
-            ClusterNode(d, children=(left.node, right.node)),
-            a.size + b.size,
-            min(a.min_name, b.min_name),
-        )
-        del active[i], active[j]
-        new_dist: dict[tuple[int, int], float] = {}
-        for (p, q), dv in dist.items():
-            if i in (p, q) or j in (p, q):
-                continue
-            new_dist[(p, q)] = dv
-        for k in active:
-            # unweighted average linkage via the Lance-Williams update
-            dik = dist[pair_key(i, k)]
-            djk = dist[pair_key(j, k)]
-            new_dist[pair_key(next_id, k)] = (a.size * dik + b.size * djk) / (a.size + b.size)
-        dist = new_dist
-        active[next_id] = merged
-        next_id += 1
-
-    root = next(iter(active.values())).node
+    root = nodes[a]
     return root.leaves(), root
 
 

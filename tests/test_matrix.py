@@ -6,8 +6,9 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from wugnet.graph import ATTRIBUTE, CATEGORY, IS, OBJECT, SLOT1, SLOT2, ConceptNetwork
+from wugnet.graph import ATTRIBUTE, CATEGORY, IS, OBJECT, SLOT1, SLOT2, Concept, ConceptNetwork
 from wugnet.matrix import (
+    ClusterNode,
     agglomerative_order,
     build_matrix,
     category_vector,
@@ -276,6 +277,26 @@ def test_merge_tree_text_is_nested_parentheses():
     text = clusters_to_text(leaves, tree)
     assert text.splitlines()[0].startswith("leaf ")
     assert "(" in text.splitlines()[-1] and "):" in text.splitlines()[-1]
+
+
+@pytest.mark.parametrize("nest", ["left", "right"])
+def test_deep_chain_walks_without_recursion(nest):
+    # an all-tied matrix merges into a chain n-1 levels deep
+    names = [f"n{i:04d}" for i in range(5000)]
+    leaves = [ClusterNode(0.0, concept=Concept(OBJECT, name)) for name in names]
+    if nest == "left":
+        tree = leaves[0]
+        for leaf in leaves[1:]:
+            tree = ClusterNode(0.25, children=(tree, leaf))
+        text = "(" * 4999 + names[0] + "".join(f" {name}):0.250000" for name in names[1:])
+    else:
+        tree = leaves[-1]
+        for leaf in reversed(leaves[:-1]):
+            tree = ClusterNode(0.25, children=(leaf, tree))
+        text = "".join(f"({name} " for name in names[:-1]) + names[-1] + "):0.250000" * 4999
+    assert [c.name for c in tree.leaves()] == names
+    assert tree.to_text() == text
+    assert clusters_to_text(tree.leaves(), tree).splitlines()[-1] == f"tree {text}"
 
 
 def test_matrix_csv_layout():
