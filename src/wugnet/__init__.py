@@ -5,6 +5,7 @@ scenes and utterances; generic statements (bare plurals) maximize the
 asserted association and can introduce categories and novel objects.
 """
 
+from .errors import FormatError
 from .graph import (
     ACTION,
     ATTRIBUTE,

@@ -2,7 +2,7 @@
 
 Subcommands: learn, query, similar, run-task, export. Results go to
 stdout, diagnostics to stderr. Exit codes: 0 success, 1 usage or parse
-failure, 2 I/O failure.
+failure or a failed task check, 2 I/O failure.
 """
 
 from __future__ import annotations
@@ -11,18 +11,9 @@ import argparse
 import sys
 from pathlib import Path
 
-from .curriculum import (
-    CurriculumFormatError,
-    builtin_curriculum,
-    load_curriculum,
-)
-from .graph import (
-    CATEGORY,
-    ConceptNetwork,
-    NetworkFormatError,
-    load_network,
-    save_network,
-)
+from .curriculum import builtin_curriculum, load_curriculum
+from .errors import FormatError
+from .graph import CATEGORY, ConceptNetwork, load_network, save_network
 from .lang import ParseError
 from .learner import UnlearnableGeneric, learn_curriculum
 from .matrix import (
@@ -37,13 +28,13 @@ from .matrix import (
 from .tasks import run_task, write_task_outputs
 
 EXIT_OK = 0
-EXIT_USAGE = 1
+EXIT_FAIL = 1
 EXIT_IO = 2
 
 
 class _Parser(argparse.ArgumentParser):
     def error(self, message):  # usage failures exit 1, not argparse's 2
-        self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
+        self.exit(EXIT_FAIL, f"{self.prog}: error: {message}\n")
 
 
 def _build_parser() -> _Parser:
@@ -109,12 +100,13 @@ def _cmd_learn(args) -> int:
     net = ConceptNetwork()
     trace_lines: list[str] = []
 
-    def keep(i, report):
-        trace_lines.append(report.to_json_line(i))
+    def on_report(i, report):
+        if args.trace:
+            trace_lines.append(report.to_json_line(i))
         for miss in report.mismatches:
             print(f"instance {i}: scene mismatch: {miss}", file=sys.stderr)
 
-    learn_curriculum(net, curriculum, on_report=keep if args.trace else _warn_mismatch)
+    learn_curriculum(net, curriculum, on_report=on_report)
     save_network(net, args.network)
     if args.trace:
         Path(args.network + ".trace.jsonl").write_text(
@@ -122,11 +114,6 @@ def _cmd_learn(args) -> int:
     print(f"learned {len(curriculum.instances)} instances -> "
           f"{len(net)} concepts, {len(net.edges())} edges", file=sys.stderr)
     return EXIT_OK
-
-
-def _warn_mismatch(i, report):
-    for miss in report.mismatches:
-        print(f"instance {i}: scene mismatch: {miss}", file=sys.stderr)
 
 
 def _cmd_query(args) -> int:
@@ -156,7 +143,7 @@ def _cmd_run_task(args) -> int:
         print(f"task {result.task_id} check: {'PASS' if ok else 'FAIL'} - {name}")
     print(f"task {result.task_id}: {'PASS' if result.passed else 'FAIL'} "
           f"({', '.join(str(p) for p in paths)})")
-    return EXIT_OK
+    return EXIT_OK if result.passed else EXIT_FAIL
 
 
 def _cmd_export(args) -> int:
@@ -187,11 +174,10 @@ def main(argv=None) -> int:
     }
     try:
         return handlers[args.command](args)
-    except (ParseError, NetworkFormatError, CurriculumFormatError,
-            UnlearnableGeneric, KeyError, ValueError) as err:
+    except (ParseError, FormatError, UnlearnableGeneric, KeyError, ValueError) as err:
         message = err.args[0] if err.args else err
         print(f"wugnet: error: {message}", file=sys.stderr)
-        return EXIT_USAGE
+        return EXIT_FAIL
     except OSError as err:
         print(f"wugnet: i/o error: {err}", file=sys.stderr)
         return EXIT_IO

@@ -14,10 +14,12 @@ import random
 from dataclasses import dataclass, replace
 from pathlib import Path
 
+from .errors import FormatError
 from .lang import (
     MASS_NOUN,
     NOUN,
     PROPER_NOUN,
+    VERB,
     Lexicon,
     ParseError,
     default_lexicon,
@@ -37,10 +39,8 @@ PHASES = (
 )
 
 
-class CurriculumFormatError(ValueError):
-    def __init__(self, message: str, line: int | None = None):
-        self.line = line
-        super().__init__(message if line is None else f"line {line}: {message}")
+class CurriculumFormatError(FormatError):
+    """Malformed curriculum file; carries the offending line number."""
 
 
 DEFAULT_OBJECTS = (
@@ -104,8 +104,9 @@ DEFAULT_COLOR_GENERICS: tuple[tuple[str, str], ...] = (
     ("cookie", "light-brown"),
 )
 
-_VERB_3SG = {"sit": "sits", "walk": "walks", "fly": "flies", "jump": "jumps",
-             "eat": "eats", "drink": "drinks", "roll": "rolls", "take": "takes"}
+# lemma -> third-person-singular surface, read off the default lexicon
+_VERB_3SG = {e.lemma: e.surface for e in default_lexicon().entries()
+             if e.pos == VERB and e.surface != e.lemma}
 
 
 @dataclass
@@ -115,7 +116,6 @@ class CurriculumSpec:
     phases: tuple[str, ...]
     name: str = ""
     objects: tuple[str, ...] | None = None  # full inventory replacement
-    include_objects: tuple[str, ...] = ()
     exclude_objects: tuple[str, ...] = ()
     categories: tuple[tuple[str, tuple[str, ...]], ...] = DEFAULT_CATEGORIES
     color_table: tuple[tuple[str, tuple[tuple[str, int], ...]], ...] | None = None
@@ -145,15 +145,14 @@ class _Generator:
         self.lex = lexicon
         self.rng = random.Random(spec.seed)
         self.inventory = self._inventory()
+        self.inv = set(self.inventory)
         self.common = [o for o in self.inventory if self.lex.pos_of(o) != PROPER_NOUN]
         self.count_nouns = [o for o in self.inventory if self.lex.pos_of(o) == NOUN]
 
     def _inventory(self) -> list[str]:
         base = list(self.spec.objects if self.spec.objects is not None else DEFAULT_OBJECTS)
-        for extra in self.spec.include_objects:
-            if extra not in base:
-                base.append(extra)
-        out = [o for o in base if o not in set(self.spec.exclude_objects)]
+        excluded = set(self.spec.exclude_objects)
+        out = [o for o in base if o not in excluded]
         for lemma in out:
             pos = self.lex.pos_of(lemma)
             if pos not in (NOUN, MASS_NOUN, PROPER_NOUN):
@@ -198,8 +197,7 @@ class _Generator:
             for i, obj in enumerate(rest):
                 for step in (0, 2, 4):
                     rows.append((obj, _COLOR_ROTATION[(i + step) % len(_COLOR_ROTATION)], 1))
-        inv = set(self.inventory)
-        return [(obj, color, n) for obj, color, n in rows if obj in inv]
+        return [(obj, color, n) for obj, color, n in rows if obj in self.inv]
 
     def colors_phase(self) -> list[LearningInstance]:
         out = []
@@ -211,10 +209,9 @@ class _Generator:
         return out
 
     def actions_phase(self) -> list[LearningInstance]:
-        inv = set(self.inventory)
         out = []
         for subject, verb, obj, n in self.spec.actions:
-            if subject not in inv or (obj is not None and obj not in inv):
+            if subject not in self.inv or (obj is not None and obj not in self.inv):
                 continue
             entities = [_entity(0, subject)]
             frame = ActionFrame(verb, "e0")
@@ -238,11 +235,10 @@ class _Generator:
         return out
 
     def category_generics_phase(self) -> list[LearningInstance]:
-        inv = set(self.inventory)
         introduced = set(self.common) if "objects" in self.spec.phases else set()
         out = []
         for category, members in self.spec.categories:
-            present = [m for m in members if m in inv]
+            present = [m for m in members if m in self.inv]
             known = [m for m in present if m in introduced]
             unknown = [m for m in present if m not in introduced]
             self.rng.shuffle(known)
@@ -254,10 +250,9 @@ class _Generator:
         return out
 
     def action_generics_phase(self) -> list[LearningInstance]:
-        inv = set(self.inventory)
         out = []
         for subject, verb in self.spec.action_generics:
-            if subject not in inv:
+            if subject not in self.inv:
                 continue
             out.append(LearningInstance(
                 Situation(entities=(_entity(0, subject),),
@@ -266,10 +261,9 @@ class _Generator:
         return out
 
     def color_generics_phase(self) -> list[LearningInstance]:
-        inv = set(self.inventory)
         out = []
         for obj, color in self.spec.color_generics:
-            if obj not in inv:
+            if obj not in self.inv:
                 continue
             out.append(LearningInstance(
                 Situation(entities=(_entity(0, obj, color),)),

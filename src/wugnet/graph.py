@@ -19,6 +19,8 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import NamedTuple
 
+from .errors import FormatError
+
 OBJECT = "object"
 ATTRIBUTE = "attribute"
 ACTION = "action"
@@ -39,12 +41,8 @@ class EdgeRuleError(ValueError):
     """An edge label that is not valid for the target concept's kind."""
 
 
-class NetworkFormatError(ValueError):
+class NetworkFormatError(FormatError):
     """Malformed network file; carries the offending line number."""
-
-    def __init__(self, message: str, line: int | None = None):
-        self.line = line
-        super().__init__(message if line is None else f"line {line}: {message}")
 
 
 class Concept(NamedTuple):

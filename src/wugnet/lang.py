@@ -13,6 +13,8 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 from pathlib import Path
 
+from .errors import FormatError
+
 NOUN = "noun"
 MASS_NOUN = "mass-noun"
 PROPER_NOUN = "proper-noun"
@@ -29,13 +31,12 @@ NOUN_LIKE = (NOUN, MASS_NOUN, PROPER_NOUN)
 NUMBER_VALUES: dict[str, int | None] = {"two": 2, "three": 3, "four": 4, "many": None}
 
 _WORD_RE = re.compile(r"[A-Za-z][A-Za-z-]*")
+_STRAY_RE = re.compile(r"[^A-Za-z\s.,!?-]")
 _LEXEME_RE = re.compile(r"^[a-z][a-z-]*$")
 
 
-class LexiconFormatError(ValueError):
-    def __init__(self, message: str, line: int | None = None):
-        self.line = line
-        super().__init__(message if line is None else f"line {line}: {message}")
+class LexiconFormatError(FormatError):
+    """Malformed lexicon file; carries the offending line number."""
 
 
 class ParseError(ValueError):
@@ -252,10 +253,17 @@ def default_lexicon() -> Lexicon:
 def tokenize(text: str, lexicon: Lexicon | None = None) -> list[str]:
     """Lowercased word tokens, punctuation stripped.
 
-    Adjacent words that spell a hyphenated lexicon entry ("light brown")
-    are joined into the single lexeme.
+    Text may hold only ASCII letters, hyphens, whitespace and `.,!?`; any
+    other character raises ParseError naming its whitespace-separated chunk
+    and that chunk's position. Adjacent words that spell a hyphenated
+    lexicon entry ("light brown") are joined into the single lexeme.
     """
     lex = lexicon or default_lexicon()
+    if _STRAY_RE.search(text):
+        for position, chunk in enumerate(text.split()):
+            stray = _STRAY_RE.search(chunk)
+            if stray:
+                raise ParseError(f"unsupported character {stray.group()!r}", chunk, position)
     words = [w.lower() for w in _WORD_RE.findall(text)]
     out: list[str] = []
     i = 0

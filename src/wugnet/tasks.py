@@ -46,10 +46,19 @@ TASK3_CONDITIONS = (
 
 @dataclass
 class TaskResult:
+    """A task's table and checks, plus how its chart presents the table.
+
+    The chart draws one bar series per value (float) column, named by the
+    column header, over one group per row labelled by `groups`.
+    """
+
     task_id: int
     columns: tuple[str, ...]
     rows: list[tuple]
     checks: list[tuple[str, bool]]
+    title: str
+    ylabel: str
+    groups: list[str]
 
     def to_csv(self) -> str:
         lines = [",".join(self.columns)]
@@ -83,9 +92,9 @@ def membership_instance(novel: str, category: str) -> LearningInstance:
         f"{plural} are {lex.plural_surface(category)}")
 
 
-def run_task1(seed: int = 0, **spec_overrides) -> TaskResult:
+def run_task1(seed: int = 0) -> TaskResult:
     """Associate objects with arbitrary colors, then assert typical colors."""
-    spec = builtin_spec("objects-and-colors", seed=seed, **spec_overrides)
+    spec = builtin_spec("objects-and-colors", seed=seed)
     net = _train(spec)
     lex = default_lexicon()
 
@@ -127,7 +136,9 @@ def run_task1(seed: int = 0, **spec_overrides) -> TaskResult:
         ("network diff shows exactly three modified edges",
          len(changes) == 3 and set(changes) == expected_changes),
     ]
-    return TaskResult(1, ("object", "color", "before", "after"), rows, checks)
+    return TaskResult(1, ("object", "color", "before", "after"), rows, checks,
+                      "Object-color association strengths around the generic phase",
+                      "strength", [f"{obj} {color}" for obj, color in pairs])
 
 
 def _category_similarities(net: ConceptNetwork, novel_names: list[str]) -> dict[tuple[str, str], float]:
@@ -146,11 +157,11 @@ def _category_similarities(net: ConceptNetwork, novel_names: list[str]) -> dict[
     return sims
 
 
-def run_task2(seed: int = 0, **spec_overrides) -> TaskResult:
+def run_task2(seed: int = 0) -> TaskResult:
     """Novel-object category inference across three curricula."""
     rows = []
     for name in TASK2_CURRICULA:
-        spec = builtin_spec(name, seed=seed, **spec_overrides)
+        spec = builtin_spec(name, seed=seed)
         net = _train(spec)
         for novel, category in NOVEL_OBJECTS:
             observe(net, membership_instance(novel, category))
@@ -186,15 +197,16 @@ def run_task2(seed: int = 0, **spec_overrides) -> TaskResult:
         ("plain objects-and-kinds curriculum pins snarp to people exactly", snarp_ok),
         ("off-category similarity mass grows with curriculum complexity", growth_ok),
     ]
-    return TaskResult(2, ("curriculum", "object", "animal", "food", "people"), rows, checks)
+    return TaskResult(2, ("curriculum", "object", "animal", "food", "people"), rows, checks,
+                      "Novel-object similarity to each category", "similarity",
+                      [f"{novel} ({name})" for name, novel, *_ in rows])
 
 
-def run_task3(seed: int = 0, **spec_overrides) -> TaskResult:
+def run_task3(seed: int = 0) -> TaskResult:
     """Food-animal bleed-through as a function of the shared chicken concept."""
     rows = []
     for condition, excluded in TASK3_CONDITIONS:
-        spec = builtin_spec("objects-and-kinds", seed=seed,
-                            exclude_objects=excluded, **spec_overrides)
+        spec = builtin_spec("objects-and-kinds", seed=seed, exclude_objects=excluded)
         net = _train(spec)
         observe(net, membership_instance("wug", "animal"))
         sims = _category_similarities(net, ["wug"])
@@ -210,7 +222,9 @@ def run_task3(seed: int = 0, **spec_overrides) -> TaskResult:
         ("animal similarity dominates food similarity in every condition",
          all(animal[c] > food[c] for c, _ in TASK3_CONDITIONS)),
     ]
-    return TaskResult(3, ("condition", "animal", "food"), rows, checks)
+    return TaskResult(3, ("condition", "animal", "food"), rows, checks,
+                      "Wug similarity to animal and food per curriculum condition",
+                      "similarity", [c for c, _ in TASK3_CONDITIONS])
 
 
 def run_task(task_id: int, seed: int = 0) -> TaskResult:
@@ -229,26 +243,11 @@ def write_task_outputs(result: TaskResult, out_dir: str | Path) -> list[Path]:
     csv_path = out / f"task{result.task_id}.csv"
     csv_path.write_text(result.to_csv(), encoding="utf-8")
 
-    if result.task_id == 1:
-        groups = [f"{obj} {color}" for obj, color, _, _ in result.rows]
-        series = [("before", [r[2] for r in result.rows]),
-                  ("after", [r[3] for r in result.rows])]
-        title = "Object-color association strengths around the generic phase"
-    elif result.task_id == 2:
-        groups = [f"{r[1]} ({r[0]})" for r in result.rows]
-        series = [("animal", [r[2] for r in result.rows]),
-                  ("food", [r[3] for r in result.rows]),
-                  ("people", [r[4] for r in result.rows])]
-        title = "Novel-object similarity to each category"
-    else:
-        groups = [r[0] for r in result.rows]
-        series = [("animal", [r[1] for r in result.rows]),
-                  ("food", [r[2] for r in result.rows])]
-        title = "Wug similarity to animal and food per curriculum condition"
-
+    series = [(name, [row[i] for row in result.rows])
+              for i, name in enumerate(result.columns)
+              if isinstance(result.rows[0][i], float)]
     svg_path = out / f"task{result.task_id}.svg"
     svg_path.write_text(
-        grouped_bar_svg(title, "similarity" if result.task_id != 1 else "strength",
-                        groups, series),
+        grouped_bar_svg(result.title, result.ylabel, result.groups, series),
         encoding="utf-8")
     return [csv_path, svg_path]

@@ -1,7 +1,9 @@
 import pytest
 
+from wugnet import cli
 from wugnet.cli import main
 from wugnet.graph import CATEGORY, OBJECT, load_network
+from wugnet.tasks import TaskResult
 
 
 def run(capsys, *argv):
@@ -98,6 +100,16 @@ def test_run_task1_outputs(tmp_path, capsys):
     assert lines[0] == "object,color,before,after"
     assert len(lines) == 13
     assert (tmp_path / "task1.svg").exists()
+
+
+def test_run_task_exits_1_when_a_check_fails(tmp_path, capsys, monkeypatch):
+    failing = TaskResult(3, ("condition", "animal", "food"), [("none", 0.5, 0.25)],
+                         [("holds", True), ("breaks", False)], "title", "similarity", ["none"])
+    monkeypatch.setattr(cli, "run_task", lambda task_id, seed: failing)
+    code, out, _ = run(capsys, "run-task", "3", "--out", str(tmp_path))
+    assert code == 1
+    assert "task 3 check: FAIL - breaks" in out
+    assert "task 3: FAIL" in out
 
 
 def test_run_task3_outputs(tmp_path, capsys):

@@ -11,6 +11,7 @@ from wugnet.curriculum import (
     curriculum_to_text,
     generate,
 )
+from wugnet.errors import FormatError
 from wugnet.graph import ConceptNetwork
 from wugnet.lang import parse_text
 from wugnet.learner import learn_curriculum
@@ -148,10 +149,12 @@ def test_unknown_verb_names_token_and_line():
     ("instance\n  scene: widget e0 dog\n  say: a dog\n", 2),
     ("instance\n  scene: entity e0 dog ; action sit agent=e9\n  say: a dog\n", 2),
     ("instance\n  scene: entity e0 dog\n", 2),
+    ("instance\n  scene: entity e0 cookie\n  say: a 2 cookie\n", 3),
 ])
 def test_malformed_curriculum_files(text, line):
     with pytest.raises(CurriculumFormatError) as err:
         curriculum_from_text(text)
+    assert isinstance(err.value, FormatError)
     assert err.value.line == line
 
 

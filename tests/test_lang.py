@@ -107,6 +107,8 @@ def test_people_is_its_own_bare_plural():
     ("milk", "milk"),                 # bare mass noun is not an utterance
     ("two ball", "ball"),
     ("dogs are a", "a"),
+    ("a 2 cookie", "2"),              # characters the tokenizer cannot read
+    ("a béll", "béll"),
 ])
 def test_parse_errors_name_the_offending_token(text, bad_token):
     with pytest.raises(ParseError) as err:

@@ -1,3 +1,5 @@
+import re
+
 import pytest
 
 from wugnet.tasks import (
@@ -111,3 +113,18 @@ def test_outputs_written(tmp_path, task3):
     assert len(lines) == 5
     svg = svg_path.read_text()
     assert svg.startswith("<svg") and "</svg>" in svg
+
+
+@pytest.mark.parametrize("task_id,ylabel,values", [
+    (1, "strength", ["before", "after"]),
+    (2, "similarity", ["animal", "food", "people"]),
+    (3, "similarity", ["animal", "food"]),
+])
+def test_chart_shows_title_and_one_legend_entry_per_value_column(
+        tmp_path, task1, task2, task3, task_id, ylabel, values):
+    result = {1: task1, 2: task2, 3: task3}[task_id]
+    _, svg_path = write_task_outputs(result, tmp_path)
+    svg = svg_path.read_text()
+    assert result.title and f'font-weight="bold">{result.title}</text>' in svg
+    assert f'text-anchor="middle">{ylabel}</text>' in svg
+    assert re.findall(r'font-size="11">([^<]*)</text>', svg) == values
