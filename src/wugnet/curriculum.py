@@ -11,7 +11,7 @@ first so that every generated curriculum is learnable in order.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from pathlib import Path
 
 from .errors import FormatError
@@ -104,24 +104,27 @@ DEFAULT_COLOR_GENERICS: tuple[tuple[str, str], ...] = (
     ("cookie", "light-brown"),
 )
 
-# lemma -> third-person-singular surface, read off the default lexicon
-_VERB_3SG = {e.lemma: e.surface for e in default_lexicon().entries()
-             if e.pos == VERB and e.surface != e.lemma}
+
+def _verb_3sg(lexicon: Lexicon) -> dict[str, str]:
+    """lemma -> third-person-singular surface, read off a lexicon."""
+    return {e.lemma: e.surface for e in lexicon.entries()
+            if e.pos == VERB and e.surface != e.lemma}
+
+
+# the default lexicon's table; perfbench/synth.py draws its verbs from it
+_VERB_3SG = _verb_3sg(default_lexicon())
 
 
 @dataclass
 class CurriculumSpec:
-    """What to generate: phases, inventory tweaks, tables, shuffle seed."""
+    """What to generate: phases, inventory, categories, actions, shuffle seed."""
 
     phases: tuple[str, ...]
     name: str = ""
     objects: tuple[str, ...] | None = None  # full inventory replacement
     exclude_objects: tuple[str, ...] = ()
     categories: tuple[tuple[str, tuple[str, ...]], ...] = DEFAULT_CATEGORIES
-    color_table: tuple[tuple[str, tuple[tuple[str, int], ...]], ...] | None = None
     actions: tuple[tuple[str, str, str | None, int], ...] = DEFAULT_ACTIONS
-    action_generics: tuple[tuple[str, str], ...] = DEFAULT_ACTION_GENERICS
-    color_generics: tuple[tuple[str, str], ...] = DEFAULT_COLOR_GENERICS
     seed: int = 0
 
 
@@ -186,17 +189,12 @@ class _Generator:
         return out
 
     def color_table(self) -> list[tuple[str, str, int]]:
-        table = self.spec.color_table
-        if table is not None:
-            rows = [(obj, color, n) for obj, pairs in table for color, n in pairs]
-        else:
-            rows = [(obj, color, n) for obj, pairs in DEFAULT_COLOR_TABLE
-                    for color, n in pairs]
-            fixed = {obj for obj, _ in DEFAULT_COLOR_TABLE}
-            rest = [o for o in self.count_nouns if o not in fixed]
-            for i, obj in enumerate(rest):
-                for step in (0, 2, 4):
-                    rows.append((obj, _COLOR_ROTATION[(i + step) % len(_COLOR_ROTATION)], 1))
+        rows = [(obj, color, n) for obj, pairs in DEFAULT_COLOR_TABLE for color, n in pairs]
+        fixed = {obj for obj, _ in DEFAULT_COLOR_TABLE}
+        rest = [o for o in self.count_nouns if o not in fixed]
+        for i, obj in enumerate(rest):
+            for step in (0, 2, 4):
+                rows.append((obj, _COLOR_ROTATION[(i + step) % len(_COLOR_ROTATION)], 1))
         return [(obj, color, n) for obj, color, n in rows if obj in self.inv]
 
     def colors_phase(self) -> list[LearningInstance]:
@@ -209,13 +207,14 @@ class _Generator:
         return out
 
     def actions_phase(self) -> list[LearningInstance]:
+        verb_3sg = _verb_3sg(self.lex)
         out = []
         for subject, verb, obj, n in self.spec.actions:
             if subject not in self.inv or (obj is not None and obj not in self.inv):
                 continue
             entities = [_entity(0, subject)]
             frame = ActionFrame(verb, "e0")
-            text = f"{self.subject_text(subject)} {_VERB_3SG[verb]}"
+            text = f"{self.subject_text(subject)} {verb_3sg[verb]}"
             if obj is not None:
                 entities.append(_entity(1, obj))
                 frame = ActionFrame(verb, "e0", "e1")
@@ -251,7 +250,7 @@ class _Generator:
 
     def action_generics_phase(self) -> list[LearningInstance]:
         out = []
-        for subject, verb in self.spec.action_generics:
+        for subject, verb in DEFAULT_ACTION_GENERICS:
             if subject not in self.inv:
                 continue
             out.append(LearningInstance(
@@ -262,7 +261,7 @@ class _Generator:
 
     def color_generics_phase(self) -> list[LearningInstance]:
         out = []
-        for obj, color in self.spec.color_generics:
+        for obj, color in DEFAULT_COLOR_GENERICS:
             if obj not in self.inv:
                 continue
             out.append(LearningInstance(
@@ -309,16 +308,18 @@ BUILTIN_PHASES: dict[str, tuple[str, ...]] = {
 }
 
 
-def builtin_spec(name: str, seed: int = 0, **overrides) -> CurriculumSpec:
+def builtin_spec(name: str, seed: int = 0,
+                 exclude_objects: tuple[str, ...] = ()) -> CurriculumSpec:
     if name not in BUILTIN_PHASES:
         known = ", ".join(sorted(BUILTIN_PHASES))
         raise ValueError(f"unknown builtin curriculum {name!r} (known: {known})")
-    spec = CurriculumSpec(phases=BUILTIN_PHASES[name], name=name, seed=seed)
-    return replace(spec, **overrides) if overrides else spec
+    return CurriculumSpec(phases=BUILTIN_PHASES[name], name=name,
+                          exclude_objects=exclude_objects, seed=seed)
 
 
-def builtin_curriculum(name: str, seed: int = 0, **overrides) -> Curriculum:
-    return generate(builtin_spec(name, seed, **overrides))
+def builtin_curriculum(name: str, seed: int = 0,
+                       exclude_objects: tuple[str, ...] = ()) -> Curriculum:
+    return generate(builtin_spec(name, seed, exclude_objects))
 
 
 # -- file format ----------------------------------------------------------

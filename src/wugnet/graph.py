@@ -32,7 +32,7 @@ SLOT2 = "slot-2"
 IS = "is"
 LABELS = (SLOT1, SLOT2, IS)
 
-DEFAULT_LEARNING_RATE = 0.2
+LEARNING_RATE = 0.2
 
 _NAME_RE = re.compile(r"^[a-z][a-z-]*$")
 
@@ -97,8 +97,7 @@ class ConceptNetwork:
     what keeps network files holding inherited features byte-identical.
     """
 
-    def __init__(self, learning_rate: float = DEFAULT_LEARNING_RATE):
-        self.learning_rate = learning_rate
+    def __init__(self):
         self._nodes: dict[tuple[str, str], Concept] = {}
         self._edges: dict[tuple[Concept, Concept, str], Edge] = {}
         self._out: dict[Concept, dict[tuple[Concept, str], Edge]] = {}
@@ -176,7 +175,7 @@ class ConceptNetwork:
                 insort(self._members.setdefault(dst, []), src, key=_member_order)
         if weight is None:
             if not e.generic_origin:
-                e.weight = e.weight + self.learning_rate * (1.0 - e.weight)
+                e.weight = e.weight + LEARNING_RATE * (1.0 - e.weight)
         else:
             e.weight = weight
             e.generic_origin = generic
@@ -242,7 +241,7 @@ class ConceptNetwork:
     # -- whole-network helpers ------------------------------------------
 
     def copy(self) -> "ConceptNetwork":
-        out = ConceptNetwork(self.learning_rate)
+        out = ConceptNetwork()
         for node in self._nodes.values():
             out.add_concept(node.name, node.kind)
         for e in self._edges.values():

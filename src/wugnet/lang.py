@@ -30,8 +30,9 @@ NOUN_LIKE = (NOUN, MASS_NOUN, PROPER_NOUN)
 # surface -> count for number words; None marks vague quantity
 NUMBER_VALUES: dict[str, int | None] = {"two": 2, "three": 3, "four": 4, "many": None}
 
-_WORD_RE = re.compile(r"[A-Za-z][A-Za-z-]*")
-_STRAY_RE = re.compile(r"[^A-Za-z\s.,!?-]")
+# one whitespace-separated chunk: letters joined by single hyphens, then
+# optional sentence punctuation
+_CHUNK_RE = re.compile(r"([A-Za-z]+(?:-[A-Za-z]+)*)[.,!?]*")
 _LEXEME_RE = re.compile(r"^[a-z][a-z-]*$")
 
 
@@ -251,20 +252,21 @@ def default_lexicon() -> Lexicon:
 
 
 def tokenize(text: str, lexicon: Lexicon | None = None) -> list[str]:
-    """Lowercased word tokens, punctuation stripped.
+    """Lowercased word tokens, sentence punctuation stripped.
 
-    Text may hold only ASCII letters, hyphens, whitespace and `.,!?`; any
-    other character raises ParseError naming its whitespace-separated chunk
-    and that chunk's position. Adjacent words that spell a hyphenated
-    lexicon entry ("light brown") are joined into the single lexeme.
+    Every whitespace-separated chunk must be ASCII letters, optionally
+    joined by single hyphens, followed by optional `.,!?`; any other chunk
+    ("a2", "bears.sit", "-", ".") raises ParseError naming the chunk and
+    its position. Adjacent words that spell a hyphenated lexicon entry
+    ("light brown") are joined into the single lexeme.
     """
     lex = lexicon or default_lexicon()
-    if _STRAY_RE.search(text):
-        for position, chunk in enumerate(text.split()):
-            stray = _STRAY_RE.search(chunk)
-            if stray:
-                raise ParseError(f"unsupported character {stray.group()!r}", chunk, position)
-    words = [w.lower() for w in _WORD_RE.findall(text)]
+    words = []
+    for position, chunk in enumerate(text.split()):
+        m = _CHUNK_RE.fullmatch(chunk)
+        if m is None:
+            raise ParseError("malformed word", chunk, position)
+        words.append(m[1].lower())
     out: list[str] = []
     i = 0
     while i < len(words):
@@ -312,21 +314,50 @@ class ParsedUtterance:
     is_generic: bool = False
 
 
-def _resolve_plural(token: str, lex: Lexicon) -> tuple[str, bool] | None:
-    """(lemma, novel) when the token reads as a plural noun, else None."""
+def _fail(tokens: list[str], i: int, message: str) -> ParseError:
+    return ParseError(message, tokens[i] if i < len(tokens) else None, i)
+
+
+def _plural_np(token: str, lex: Lexicon, number: str | None = None) -> NounPhrase | None:
+    """The phrase a plural noun heads, else None; bare unless after a number word.
+
+    A listed plural form reads as its singular lemma. An unlisted word of
+    three or more letters ending in a single s reads as the plural of its
+    stem when the stem is a noun, or as a novel plural when the stem is an
+    unlisted lowercase lexeme.
+    """
     e = lex.get(token)
-    if e is not None:
-        if e.pos == NOUN and e.plural_of:
-            return e.plural_of, False
+    if e is None and len(token) > 2 and token.endswith("s") and not token.endswith("ss"):
+        lemma = token[:-1]
+        se = lex.get(lemma)
+        novel = se is None
+        if not (_LEXEME_RE.match(lemma) if novel else se.pos in NOUN_LIKE):
+            return None
+    elif e is not None and e.pos == NOUN and e.plural_of:
+        lemma, novel = e.plural_of, False
+    else:
         return None
-    if len(token) > 2 and token.endswith("s") and not token.endswith("ss"):
-        stem = token[:-1]
-        se = lex.get(stem)
-        if se is not None and se.pos in NOUN_LIKE:
-            return stem, False
-        if se is None and _LEXEME_RE.match(stem):
-            return stem, True
-    return None
+    return NounPhrase(lemma, is_bare_plural=number is None, has_determiner=number is not None,
+                      count=NUMBER_VALUES.get(number), novel=novel)
+
+
+def _det_np(tokens: list[str], i: int, lex: Lexicon,
+            allow_color: bool) -> tuple[NounPhrase, int]:
+    """The phrase the determiner at i heads, and the index after it."""
+    i += 1
+    modifier = None
+    if allow_color and i < len(tokens):
+        e = lex.get(tokens[i])
+        if e is not None and e.pos == COLOR_ADJ:
+            modifier = e.lemma
+            i += 1
+    if i >= len(tokens):
+        raise _fail(tokens, i, "expected a noun after the determiner")
+    e = lex.get(tokens[i])
+    if e is None or e.pos not in (NOUN, MASS_NOUN) or e.plural_of:
+        raise _fail(tokens, i, "expected a singular noun after the determiner")
+    return NounPhrase(e.lemma, has_determiner=True, modifier=modifier,
+                      mass=e.pos == MASS_NOUN), i + 1
 
 
 def parse(tokens: list[str], lexicon: Lexicon | None = None) -> ParsedUtterance:
@@ -336,143 +367,77 @@ def parse(tokens: list[str], lexicon: Lexicon | None = None) -> ParsedUtterance:
     N-pl are N-pl | N-pl V (N-mass | N-pl) | PROPN/DET N V (DET N | N-mass)
 
     Unknown nouns are admitted only in bare-plural positions (strip-s rule)
-    and flagged novel.
+    and flagged novel. One walk reads the subject, then the tail its kind
+    allows: a number phrase takes none, a determiner phrase an optional
+    verb, a proper noun a verb, a bare plural a verb or `are`.
     """
     lex = lexicon or default_lexicon()
-    if not tokens:
+    n = len(tokens)
+    if not n:
         raise ParseError("empty utterance", None, 0)
-
-    def fail(i: int, message: str) -> ParseError:
-        token = tokens[i] if i < len(tokens) else None
-        return ParseError(message, token, i)
-
-    def end_or_die(i: int) -> None:
-        if i != len(tokens):
-            raise fail(i, "unexpected trailing token")
-
-    def det_np(i: int, allow_color: bool) -> tuple[NounPhrase, int]:
-        # cursor sits on the determiner
-        i += 1
-        modifier = None
-        if i < len(tokens):
-            e = lex.get(tokens[i])
-            if allow_color and e is not None and e.pos == COLOR_ADJ:
-                modifier = e.lemma
-                i += 1
-        if i >= len(tokens):
-            raise fail(i, "expected a noun after the determiner")
-        e = lex.get(tokens[i])
-        if e is None or e.pos not in (NOUN, MASS_NOUN) or e.plural_of:
-            raise fail(i, "expected a singular noun after the determiner")
-        np = NounPhrase(e.lemma, has_determiner=True, modifier=modifier,
-                        mass=e.pos == MASS_NOUN)
-        return np, i + 1
-
-    def object_np(i: int) -> tuple[NounPhrase, int]:
-        e = lex.get(tokens[i])
-        if e is not None and e.pos == DETERMINER:
-            return det_np(i, allow_color=False)
-        if e is not None and e.pos == MASS_NOUN:
-            return NounPhrase(e.lemma, mass=True), i + 1
-        pl = _resolve_plural(tokens[i], lex)
-        if pl is not None:
-            lemma, novel = pl
-            return NounPhrase(lemma, is_bare_plural=True, novel=novel), i + 1
-        raise fail(i, "expected an object noun phrase")
-
-    nps: list[NounPhrase] = []
-    verb: VerbFrame | None = None
-    predicate: Predicate | None = None
-
     first = lex.get(tokens[0])
+    kind = first.pos if first is not None else None
+    verb = predicate = None
+    if kind == DETERMINER:
+        subject, i = _det_np(tokens, 0, lex, allow_color=True)
+        tail_error = "expected a verb"
+    elif kind == PROPER_NOUN:
+        subject, i = NounPhrase(first.lemma), 1
+        tail_error = "expected a verb after the proper noun"
+    elif kind == NUMBER_WORD:
+        subject = _plural_np(tokens[1], lex, tokens[0]) if n > 1 else None
+        if subject is None:
+            raise _fail(tokens, 1, "expected a plural noun after the number word")
+        i, tail_error = 2, None
+    else:
+        subject = _plural_np(tokens[0], lex)
+        if subject is None:
+            raise _fail(tokens, 0, "unknown word" if first is None
+                        else "no utterance template starts here")
+        i, tail_error = 1, "expected 'are' or a verb after the bare plural"
+    bare = subject.is_bare_plural
+    nps = [subject]
 
-    if first is not None and first.pos == DETERMINER:
-        subject, i = det_np(0, allow_color=True)
-        nps.append(subject)
-        if i < len(tokens):
-            ev = lex.get(tokens[i])
-            if ev is None or ev.pos != VERB:
-                raise fail(i, "expected a verb")
-            verb = VerbFrame(ev.lemma, subject=0)
+    if tail_error is not None and (i < n or kind == PROPER_NOUN):
+        e = lex.get(tokens[i]) if i < n else None
+        pos = e.pos if e is not None else None
+        if pos == COPULA and bare:
             i += 1
-            if i < len(tokens):
-                obj, i = object_np(i)
+            if i == n:
+                raise _fail(tokens, i, "expected a complement after 'are'")
+            c = lex.get(tokens[i])
+            if c is not None and c.pos == COLOR_ADJ:
+                predicate = Predicate(0, c.lemma, complement_is_color=True)
+            else:
+                complement = _plural_np(tokens[i], lex)
+                if complement is None:
+                    raise _fail(tokens, i, "expected a color or plural noun complement")
+                nps.append(complement)
+                predicate = Predicate(0, complement.lemma, complement_is_color=False,
+                                      complement_index=1)
+            i += 1
+        elif pos == VERB:
+            verb = VerbFrame(e.lemma, subject=0)
+            i += 1
+            if i < n:
+                o = lex.get(tokens[i])
+                if o is not None and o.pos == DETERMINER and not bare:
+                    obj, i = _det_np(tokens, i, lex, allow_color=False)
+                else:
+                    obj = (NounPhrase(o.lemma, mass=True) if o is not None and o.pos == MASS_NOUN
+                           else _plural_np(tokens[i], lex))
+                    if obj is None:
+                        raise _fail(tokens, i, "expected a mass noun or plural noun object"
+                                    if bare else "expected an object noun phrase")
+                    i += 1
                 nps.append(obj)
                 verb.object = 1
-            end_or_die(i)
+        else:
+            raise _fail(tokens, i, tail_error)
 
-    elif first is not None and first.pos == PROPER_NOUN:
-        nps.append(NounPhrase(first.lemma))
-        if len(tokens) < 2:
-            raise fail(1, "expected a verb after the proper noun")
-        ev = lex.get(tokens[1])
-        if ev is None or ev.pos != VERB:
-            raise fail(1, "expected a verb after the proper noun")
-        verb = VerbFrame(ev.lemma, subject=0)
-        i = 2
-        if i < len(tokens):
-            obj, i = object_np(i)
-            nps.append(obj)
-            verb.object = 1
-        end_or_die(i)
-
-    elif first is not None and first.pos == NUMBER_WORD:
-        if len(tokens) < 2:
-            raise fail(1, "expected a plural noun after the number word")
-        pl = _resolve_plural(tokens[1], lex)
-        if pl is None:
-            raise fail(1, "expected a plural noun after the number word")
-        lemma, novel = pl
-        nps.append(NounPhrase(lemma, has_determiner=True, novel=novel,
-                              count=NUMBER_VALUES.get(tokens[0])))
-        end_or_die(2)
-
-    else:
-        pl = _resolve_plural(tokens[0], lex)
-        if pl is None:
-            if first is None:
-                raise fail(0, "unknown word")
-            raise fail(0, "no utterance template starts here")
-        lemma, novel = pl
-        nps.append(NounPhrase(lemma, is_bare_plural=True, novel=novel))
-        if len(tokens) > 1:
-            e1 = lex.get(tokens[1])
-            if e1 is not None and e1.pos == COPULA:
-                if len(tokens) < 3:
-                    raise fail(2, "expected a complement after 'are'")
-                ec = lex.get(tokens[2])
-                if ec is not None and ec.pos == COLOR_ADJ:
-                    predicate = Predicate(0, ec.lemma, complement_is_color=True)
-                    end_or_die(3)
-                else:
-                    cpl = _resolve_plural(tokens[2], lex)
-                    if cpl is None:
-                        raise fail(2, "expected a color or plural noun complement")
-                    clemma, cnovel = cpl
-                    nps.append(NounPhrase(clemma, is_bare_plural=True, novel=cnovel))
-                    predicate = Predicate(0, clemma, complement_is_color=False,
-                                          complement_index=1)
-                    end_or_die(3)
-            elif e1 is not None and e1.pos == VERB:
-                verb = VerbFrame(e1.lemma, subject=0)
-                i = 2
-                if i < len(tokens):
-                    e2 = lex.get(tokens[i])
-                    if e2 is not None and e2.pos == MASS_NOUN:
-                        nps.append(NounPhrase(e2.lemma, mass=True))
-                    else:
-                        opl = _resolve_plural(tokens[i], lex)
-                        if opl is None:
-                            raise fail(i, "expected a mass noun or plural noun object")
-                        olemma, onovel = opl
-                        nps.append(NounPhrase(olemma, is_bare_plural=True, novel=onovel))
-                    verb.object = 1
-                    i += 1
-                end_or_die(i)
-            else:
-                raise fail(1, "expected 'are' or a verb after the bare plural")
-
-    generic = bool(nps) and all(np.is_bare_plural for np in nps)
+    if i != n:
+        raise _fail(tokens, i, "unexpected trailing token")
+    generic = bare and all(np.is_bare_plural for np in nps)
     return ParsedUtterance(tuple(tokens), nps, verb, predicate, generic)
 
 

@@ -23,7 +23,7 @@ from .graph import (
     Concept,
     ConceptNetwork,
 )
-from .lang import Lexicon, ParsedUtterance, default_lexicon, parse, tokenize
+from .lang import Lexicon, ParsedUtterance, ParseError, default_lexicon, parse, tokenize
 
 
 class UnlearnableGeneric(ValueError):
@@ -264,13 +264,21 @@ def _membership_generic(net: ConceptNetwork, report: ObservationReport,
 
 
 def learn_curriculum(net: ConceptNetwork, curriculum, lexicon: Lexicon | None = None,
-                     on_report=None) -> list[ObservationReport]:
-    """Feed every instance of a curriculum through observe(), in order."""
+                     on_report=None) -> None:
+    """Feed every instance of a curriculum through observe(), in order.
+
+    on_report(i, report) is called after instance i is learned. A
+    ParseError or UnlearnableGeneric from instance i propagates with its
+    message prefixed by `instance i:` and the quoted utterance; observe
+    raises those before it writes, so the network then holds exactly
+    instances 0..i-1.
+    """
     lex = lexicon or default_lexicon()
-    reports = []
     for i, instance in enumerate(curriculum.instances):
-        report = observe(net, instance, lex)
-        reports.append(report)
+        try:
+            report = observe(net, instance, lex)
+        except (ParseError, UnlearnableGeneric) as err:
+            err.args = (f"instance {i}: {instance.utterance!r}: {err.args[0]}",)
+            raise
         if on_report is not None:
             on_report(i, report)
-    return reports

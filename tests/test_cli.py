@@ -42,6 +42,17 @@ def test_learn_malformed_curriculum_exits_1(tmp_path, capsys):
     assert "line 3" in err
 
 
+def test_learn_names_the_instance_it_cannot_learn(tmp_path, capsys):
+    src = tmp_path / "unlearnable.cur"
+    src.write_text("instance\n  scene: entity e0 dog\n  say: a dog\n\n"
+                   "instance\n  say: wugs are zorbs\n")
+    out = tmp_path / "net.txt"
+    code, _, err = run(capsys, "learn", "--curriculum", str(src), "--network", str(out))
+    assert code == 1
+    assert err.startswith("wugnet: error: instance 1: 'wugs are zorbs': cannot learn")
+    assert not out.exists()
+
+
 def test_learn_missing_curriculum_exits_2(tmp_path, capsys):
     code, _, _ = run(capsys, "learn", "--curriculum", str(tmp_path / "nope.cur"),
                      "--network", str(tmp_path / "net.txt"))

@@ -74,14 +74,6 @@ def test_closed_form_matches_iterated_update(net):
         assert abs(got - (1.0 - 0.8 ** k)) < 1e-12
 
 
-def test_learning_rate_is_configurable():
-    net = ConceptNetwork(learning_rate=0.5)
-    a = net.add_concept("a", OBJECT)
-    b = net.add_concept("b", ATTRIBUTE)
-    assert net.observe_association(a, b, IS) == pytest.approx(0.5)
-    assert net.observe_association(a, b, IS) == pytest.approx(0.75)
-
-
 def test_observation_is_a_fixed_point_at_one(net):
     a = net.add_concept("a", OBJECT)
     b = net.add_concept("b", ATTRIBUTE)

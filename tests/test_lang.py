@@ -109,6 +109,9 @@ def test_people_is_its_own_bare_plural():
     ("dogs are a", "a"),
     ("a 2 cookie", "2"),              # characters the tokenizer cannot read
     ("a béll", "béll"),
+    ("a - cookie", "-"),              # punctuation only at a word's end
+    ("bears.sit", "bears.sit"),
+    ("a ball .", "."),
 ])
 def test_parse_errors_name_the_offending_token(text, bad_token):
     with pytest.raises(ParseError) as err:

@@ -3,13 +3,16 @@ import json
 
 import pytest
 
+from wugnet.curriculum import Curriculum
 from wugnet.graph import ATTRIBUTE, CATEGORY, IS, OBJECT, SLOT1, SLOT2, ConceptNetwork
+from wugnet.lang import ParseError
 from wugnet.learner import (
     ActionFrame,
     Entity,
     LearningInstance,
     Situation,
     UnlearnableGeneric,
+    learn_curriculum,
     observe,
 )
 
@@ -142,6 +145,24 @@ def test_membership_with_both_sides_unknown_is_rejected():
     with pytest.raises(UnlearnableGeneric):
         observe(net, inst("wugs are zorbs", Entity("e0", "wug")))
     assert net.get("wug", OBJECT) is None  # nothing half-created
+
+
+@pytest.mark.parametrize("bad,error,message", [
+    ("wugs are zorbs", UnlearnableGeneric,
+     "cannot learn 'wug are zorb': both concepts are unknown"),
+    ("a bear glorps", ParseError, "expected a verb (token 'glorps' at position 2)"),
+])
+def test_learn_curriculum_names_the_failing_instance(bad, error, message):
+    before = (inst("a black dog", Entity("e0", "dog", "black")),
+              inst("dogs are animals", Entity("e0", "dog")))
+    after = (inst("bears sit", Entity("e0", "bear"), actions=(ActionFrame("sit", "e0"),)),)
+    net = ConceptNetwork()
+    with pytest.raises(error) as err:
+        learn_curriculum(net, Curriculum("c", before + (inst(bad),) + after))
+    assert str(err.value) == f"instance 2: {bad!r}: {message}"
+    expected = ConceptNetwork()
+    learn_curriculum(expected, Curriculum("c", before))
+    assert net == expected
 
 
 def test_known_subject_and_known_category_is_a_plain_assertion():

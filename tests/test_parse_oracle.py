@@ -1,0 +1,55 @@
+"""lang.parse and lang.tokenize against the original implementations.
+
+Comparisons are exact: the same ParsedUtterance, or a ParseError with the
+same message, token and position.
+"""
+
+from itertools import product
+
+import pytest
+
+import parse_oracle
+from wugnet.curriculum import BUILTIN_PHASES, builtin_curriculum
+from wugnet.lang import ParseError, default_lexicon, parse, tokenize
+
+# At least one surface form per part of speech, both number-word counts
+# (2 and vague), and every way a token can read (or fail to read) as a
+# plural: listed plural-of entries ("balls", "people"), strip-s plurals of
+# a count noun ("babys"), a mass noun ("juices") and a proper noun
+# ("moms"), a novel plural ("wugs"), an unlisted stem that is no noun
+# ("flys") or no lexeme ("Wugs"), an -ss word ("glass"), tokens of two
+# letters or fewer ("a", "xs") and an unknown word ("glorp"). The 21 words
+# give 204,205 sequences of length 0-4, few enough to check them all.
+VOCABULARY = (
+    "a", "two", "many", "are", "red", "light-brown", "sits", "ball", "balls",
+    "people", "juice", "juices", "mom", "moms", "babys", "wugs", "flys",
+    "Wugs", "glass", "xs", "glorp",
+)
+
+
+def outcome(parse_fn, tokens, lex):
+    try:
+        return parse_fn(tokens, lex)
+    except ParseError as err:
+        return (str(err), err.token, err.position)
+
+
+def test_every_short_token_sequence_parses_as_before():
+    lex = default_lexicon()
+    checked = 0
+    for length in range(5):
+        for tokens in product(VOCABULARY, repeat=length):
+            expected = outcome(parse_oracle.parse, tokens, lex)
+            assert outcome(parse, tokens, lex) == expected, tokens
+            checked += 1
+    assert checked == sum(len(VOCABULARY) ** k for k in range(5))
+
+
+@pytest.mark.parametrize("name", sorted(BUILTIN_PHASES))
+@pytest.mark.parametrize("seed", (0, 7))
+def test_builtin_curricula_tokenize_and_parse_as_before(name, seed):
+    lex = default_lexicon()
+    for instance in builtin_curriculum(name, seed=seed).instances:
+        tokens = tokenize(instance.utterance, lex)
+        assert tokens == parse_oracle.tokenize(instance.utterance, lex)
+        assert outcome(parse, tokens, lex) == outcome(parse_oracle.parse, tokens, lex)
