@@ -41,7 +41,6 @@ from .learner import (
     UnlearnableGeneric,
     learn_curriculum,
     observe,
-    process_generic,
 )
 from .matrix import (
     ConceptMatrix,

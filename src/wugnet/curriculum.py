@@ -212,6 +212,8 @@ class _Generator:
         for subject, verb, obj, n in self.spec.actions:
             if subject not in self.inv or (obj is not None and obj not in self.inv):
                 continue
+            if verb not in verb_3sg:
+                raise ValueError(f"action verb {verb!r} has no third-person form in the lexicon")
             entities = [_entity(0, subject)]
             frame = ActionFrame(verb, "e0")
             text = f"{self.subject_text(subject)} {verb_3sg[verb]}"

@@ -134,9 +134,6 @@ class ConceptNetwork:
     def concepts(self) -> list[Concept]:
         return sorted(self._nodes.values())
 
-    def __contains__(self, node: Concept) -> bool:
-        return node in self._nodes
-
     def _require_member(self, node: Concept) -> None:
         if node not in self._nodes:
             raise KeyError(f"concept {node.key} is not in this network")

@@ -119,12 +119,14 @@ class Lexicon:
                 key, sep, value = extra.partition("=")
                 if not sep:
                     raise LexiconFormatError(f"bad attribute {extra!r}", lineno)
+                if key not in ("lemma", "plural-of"):
+                    raise LexiconFormatError(f"unknown attribute {key!r}", lineno)
+                if not value:
+                    raise LexiconFormatError(f"empty {key}= value", lineno)
                 if key == "lemma":
                     lemma = value
-                elif key == "plural-of":
-                    plural_of = value
                 else:
-                    raise LexiconFormatError(f"unknown attribute {key!r}", lineno)
+                    plural_of = value
             if lemma is None:
                 raise LexiconFormatError("missing lemma=", lineno)
             entries.append(LexEntry(surface, pos, lemma, plural_of))

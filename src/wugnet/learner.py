@@ -103,18 +103,20 @@ def _ensure(net: ConceptNetwork, report: ObservationReport, name: str, kind: str
     return node
 
 
-def _observe_edge(net: ConceptNetwork, report: ObservationReport,
-                  src: Concept, dst: Concept, label: str) -> None:
-    old = net.get_strength(src, dst, label)
-    new = net.observe_association(src, dst, label)
-    report.edges.append(EdgeWrite(src.key, label, dst.key, old, new))
+def _link(net: ConceptNetwork, report: ObservationReport, src: Concept, dst: Concept,
+          label: str, weight: float | None, generic: bool = False) -> None:
+    """The learner's one edge write, journalled in the report.
 
-
-def _assert_edge(net: ConceptNetwork, report: ObservationReport,
-                 src: Concept, dst: Concept, label: str) -> None:
+    weight None applies the plateauing update; otherwise the weight and
+    generic flag are stored.
+    """
     old = net.get_strength(src, dst, label)
-    new = net.assert_generic(src, dst, label)
-    report.edges.append(EdgeWrite(src.key, label, dst.key, old, new, generic=True))
+    if weight is None:
+        new = net.observe_association(src, dst, label)
+    else:
+        net.set_strength(src, dst, label, weight, generic)
+        new = weight
+    report.edges.append(EdgeWrite(src.key, label, dst.key, old, new, generic))
 
 
 def _scene_mismatches(parsed: ParsedUtterance, situation: Situation) -> list[str]:
@@ -151,73 +153,48 @@ def observe(net: ConceptNetwork, instance: LearningInstance,
             lexicon: Lexicon | None = None) -> ObservationReport:
     """Learn from one (situation, utterance) pair.
 
-    Every mentioned lemma ends up with a concept node. Non-generic
-    utterances apply the plateauing update to color bindings and verb
-    argument slots; generic utterances are delegated to process_generic.
+    Every mentioned lemma ends up with a concept node. A membership
+    predicate ("dogs are animals", "wugs are animals") goes to
+    _membership_generic. Every other shape links each noun phrase to its
+    color (modifier or color predicate), then the verb's subject and object
+    to its argument slots: with the plateauing update when the utterance is
+    plain, pinned at 1.0 and marked generic when it is generic.
     """
     lex = lexicon or default_lexicon()
     parsed = parse(tokenize(instance.utterance, lex), lex)
-    if parsed.is_generic:
-        return process_generic(net, parsed, instance.situation)
-
-    report = ObservationReport(instance.utterance, is_generic=False)
-    report.mismatches = _scene_mismatches(parsed, instance.situation)
-    nodes = [_ensure(net, report, np.lemma, OBJECT) for np in parsed.noun_phrases]
-    for np, node in zip(parsed.noun_phrases, nodes):
-        if np.modifier is not None:
-            color = _ensure(net, report, np.modifier, ATTRIBUTE)
-            _observe_edge(net, report, node, color, IS)
-    if parsed.verb is not None:
-        action = _ensure(net, report, parsed.verb.lemma, ACTION)
-        _observe_edge(net, report, nodes[parsed.verb.subject], action, SLOT1)
-        if parsed.verb.object is not None:
-            _observe_edge(net, report, nodes[parsed.verb.object], action, SLOT2)
-    return report
-
-
-def process_generic(net: ConceptNetwork, parsed: ParsedUtterance,
-                    situation: Situation) -> ObservationReport:
-    """Apply a generic statement to the network.
-
-    Three statement shapes are handled: verb generics ("bears sit"),
-    color predicates ("watermelons are green"), and membership predicates
-    ("dogs are animals" / "wugs are animals"). Membership with an unknown
-    complement creates a category; membership with an unknown subject and
-    a known category creates the object and inherits the member-average
-    feature vector. Both sides unknown is unlearnable.
-    """
-    if not parsed.is_generic:
-        raise ValueError("process_generic expects a generic utterance")
-    report = ObservationReport(" ".join(parsed.tokens), is_generic=True)
-    report.mismatches = _scene_mismatches(parsed, situation)
-
-    if parsed.verb is not None:
-        subject = _ensure(net, report, parsed.noun_phrases[parsed.verb.subject].lemma, OBJECT)
-        action = _ensure(net, report, parsed.verb.lemma, ACTION)
-        _assert_edge(net, report, subject, action, SLOT1)
-        if parsed.verb.object is not None:
-            obj = _ensure(net, report, parsed.noun_phrases[parsed.verb.object].lemma, OBJECT)
-            _assert_edge(net, report, obj, action, SLOT2)
-        return report
-
-    if parsed.predicate is not None and parsed.predicate.complement_is_color:
-        subject = _ensure(net, report, parsed.noun_phrases[parsed.predicate.subject].lemma, OBJECT)
-        color = _ensure(net, report, parsed.predicate.complement, ATTRIBUTE)
-        _assert_edge(net, report, subject, color, IS)
-        return report
-
-    if parsed.predicate is not None:
+    report = ObservationReport(instance.utterance, parsed.is_generic,
+                               mismatches=_scene_mismatches(parsed, instance.situation))
+    predicate = parsed.predicate
+    if predicate is not None and not predicate.complement_is_color:
         _membership_generic(net, report, parsed)
         return report
 
-    # bare plural with no predicate or verb: the mention alone creates the node
-    for np in parsed.noun_phrases:
-        _ensure(net, report, np.lemma, OBJECT)
+    nodes = [_ensure(net, report, np.lemma, OBJECT) for np in parsed.noun_phrases]
+    links = [(node, _ensure(net, report, np.modifier, ATTRIBUTE), IS)
+             for np, node in zip(parsed.noun_phrases, nodes) if np.modifier is not None]
+    if predicate is not None:
+        color = _ensure(net, report, predicate.complement, ATTRIBUTE)
+        links.append((nodes[predicate.subject], color, IS))
+    if parsed.verb is not None:
+        action = _ensure(net, report, parsed.verb.lemma, ACTION)
+        links.append((nodes[parsed.verb.subject], action, SLOT1))
+        if parsed.verb.object is not None:
+            links.append((nodes[parsed.verb.object], action, SLOT2))
+    weight = 1.0 if parsed.is_generic else None
+    for src, dst, label in links:
+        _link(net, report, src, dst, label, weight, parsed.is_generic)
     return report
 
 
 def _membership_generic(net: ConceptNetwork, report: ObservationReport,
                         parsed: ParsedUtterance) -> None:
+    """Pin "subjects are categories" at 1.0; raise before any write if unlearnable.
+
+    An unknown complement becomes a category. An unknown subject of a known
+    category becomes an object that also inherits the member-average
+    features. Both sides unknown, or a side whose name another kind already
+    holds, is UnlearnableGeneric.
+    """
     subject_lemma = parsed.noun_phrases[parsed.predicate.subject].lemma
     complement_lemma = parsed.predicate.complement
 
@@ -237,12 +214,12 @@ def _membership_generic(net: ConceptNetwork, report: ObservationReport,
                 f"cannot learn '{subject_lemma} are {complement_lemma}': "
                 "both concepts are unknown")
         category = _ensure(net, report, complement_lemma, CATEGORY)
-        _assert_edge(net, report, subject, category, IS)
+        _link(net, report, subject, category, IS, 1.0, generic=True)
         return
 
     if subject is not None:
         # both known: plain maximization of the membership edge
-        _assert_edge(net, report, subject, category, IS)
+        _link(net, report, subject, category, IS, 1.0, generic=True)
         return
 
     if net.named(subject_lemma):
@@ -252,15 +229,11 @@ def _membership_generic(net: ConceptNetwork, report: ObservationReport,
     # averaged over the members before the subject joins them
     averages = net.member_average(category)
     subject = _ensure(net, report, subject_lemma, OBJECT)
-    _assert_edge(net, report, subject, category, IS)
+    _link(net, report, subject, category, IS, 1.0, generic=True)
     for target, label, mean in averages:
-        if mean <= 0.0 or target == subject:
-            continue
-        existing = net.edge(subject, target, label)
-        if existing is not None and existing.generic_origin:
-            continue  # the membership edge itself stays generic
-        net.set_strength(subject, target, label, mean)
-        report.edges.append(EdgeWrite(subject.key, label, target.key, 0.0, mean))
+        # the subject's only edge is its membership, which stays generic
+        if mean > 0.0 and target != category:
+            _link(net, report, subject, target, label, mean)
 
 
 def learn_curriculum(net: ConceptNetwork, curriculum, lexicon: Lexicon | None = None,

@@ -1,0 +1,129 @@
+"""The learner's original observe / process_generic split, kept as a reference.
+
+observe, process_generic and _membership_generic are the implementations
+that learner.observe's single walk replaced, with their edge helpers.
+Tests compare networks and reports against them exactly. The scene check
+and the report types are shared with wugnet.learner; they did not change.
+"""
+
+from wugnet.graph import ACTION, ATTRIBUTE, CATEGORY, IS, OBJECT, SLOT1, SLOT2
+from wugnet.lang import default_lexicon, parse, tokenize
+from wugnet.learner import EdgeWrite, ObservationReport, UnlearnableGeneric, _scene_mismatches
+
+
+def _ensure(net, report, name, kind):
+    node = net.get(name, kind)
+    if node is None:
+        node = net.add_concept(name, kind)
+        report.created.append(node.key)
+    return node
+
+
+def _observe_edge(net, report, src, dst, label):
+    old = net.get_strength(src, dst, label)
+    new = net.observe_association(src, dst, label)
+    report.edges.append(EdgeWrite(src.key, label, dst.key, old, new))
+
+
+def _assert_edge(net, report, src, dst, label):
+    old = net.get_strength(src, dst, label)
+    new = net.assert_generic(src, dst, label)
+    report.edges.append(EdgeWrite(src.key, label, dst.key, old, new, generic=True))
+
+
+def observe(net, instance, lexicon=None):
+    lex = lexicon or default_lexicon()
+    parsed = parse(tokenize(instance.utterance, lex), lex)
+    if parsed.is_generic:
+        return process_generic(net, parsed, instance.situation)
+
+    report = ObservationReport(instance.utterance, is_generic=False)
+    report.mismatches = _scene_mismatches(parsed, instance.situation)
+    nodes = [_ensure(net, report, np.lemma, OBJECT) for np in parsed.noun_phrases]
+    for np, node in zip(parsed.noun_phrases, nodes):
+        if np.modifier is not None:
+            color = _ensure(net, report, np.modifier, ATTRIBUTE)
+            _observe_edge(net, report, node, color, IS)
+    if parsed.verb is not None:
+        action = _ensure(net, report, parsed.verb.lemma, ACTION)
+        _observe_edge(net, report, nodes[parsed.verb.subject], action, SLOT1)
+        if parsed.verb.object is not None:
+            _observe_edge(net, report, nodes[parsed.verb.object], action, SLOT2)
+    return report
+
+
+def process_generic(net, parsed, situation):
+    if not parsed.is_generic:
+        raise ValueError("process_generic expects a generic utterance")
+    report = ObservationReport(" ".join(parsed.tokens), is_generic=True)
+    report.mismatches = _scene_mismatches(parsed, situation)
+
+    if parsed.verb is not None:
+        subject = _ensure(net, report, parsed.noun_phrases[parsed.verb.subject].lemma, OBJECT)
+        action = _ensure(net, report, parsed.verb.lemma, ACTION)
+        _assert_edge(net, report, subject, action, SLOT1)
+        if parsed.verb.object is not None:
+            obj = _ensure(net, report, parsed.noun_phrases[parsed.verb.object].lemma, OBJECT)
+            _assert_edge(net, report, obj, action, SLOT2)
+        return report
+
+    if parsed.predicate is not None and parsed.predicate.complement_is_color:
+        subject = _ensure(net, report, parsed.noun_phrases[parsed.predicate.subject].lemma, OBJECT)
+        color = _ensure(net, report, parsed.predicate.complement, ATTRIBUTE)
+        _assert_edge(net, report, subject, color, IS)
+        return report
+
+    if parsed.predicate is not None:
+        _membership_generic(net, report, parsed)
+        return report
+
+    # bare plural with no predicate or verb: the mention alone creates the node
+    for np in parsed.noun_phrases:
+        _ensure(net, report, np.lemma, OBJECT)
+    return report
+
+
+def _membership_generic(net, report, parsed):
+    subject_lemma = parsed.noun_phrases[parsed.predicate.subject].lemma
+    complement_lemma = parsed.predicate.complement
+
+    subject = net.get(subject_lemma, OBJECT)
+    category = net.get(complement_lemma, CATEGORY)
+
+    if category is None:
+        clash = net.named(complement_lemma)
+        if clash:
+            raise UnlearnableGeneric(
+                f"'{complement_lemma}' already names a non-category concept")
+        if subject is None:
+            if net.named(subject_lemma):
+                raise UnlearnableGeneric(
+                    f"'{subject_lemma}' already names a non-object concept")
+            raise UnlearnableGeneric(
+                f"cannot learn '{subject_lemma} are {complement_lemma}': "
+                "both concepts are unknown")
+        category = _ensure(net, report, complement_lemma, CATEGORY)
+        _assert_edge(net, report, subject, category, IS)
+        return
+
+    if subject is not None:
+        # both known: plain maximization of the membership edge
+        _assert_edge(net, report, subject, category, IS)
+        return
+
+    if net.named(subject_lemma):
+        raise UnlearnableGeneric(f"'{subject_lemma}' already names a non-object concept")
+
+    # novel object into a known category: membership plus feature inheritance,
+    # averaged over the members before the subject joins them
+    averages = net.member_average(category)
+    subject = _ensure(net, report, subject_lemma, OBJECT)
+    _assert_edge(net, report, subject, category, IS)
+    for target, label, mean in averages:
+        if mean <= 0.0 or target == subject:
+            continue
+        existing = net.edge(subject, target, label)
+        if existing is not None and existing.generic_origin:
+            continue  # the membership edge itself stays generic
+        net.set_strength(subject, target, label, mean)
+        report.edges.append(EdgeWrite(subject.key, label, target.key, 0.0, mean))

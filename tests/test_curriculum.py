@@ -73,6 +73,11 @@ def test_unknown_inventory_lexeme_rejected():
         generate(CurriculumSpec(phases=("wrong-phase",)))
 
 
+def test_action_verb_without_third_person_form_rejected():
+    with pytest.raises(ValueError, match="'glorp'"):
+        generate(CurriculumSpec(phases=("actions",), actions=(("dog", "glorp", None, 1),)))
+
+
 @pytest.mark.parametrize("name", ["objects-and-kinds", "objects-kinds-and-generics",
                                   "obj-actions-kinds-generics", "objects-and-actions",
                                   "objects-and-colors"])

@@ -18,8 +18,7 @@ from wugnet.graph import (
     ConceptNetwork,
     network_to_text,
 )
-from wugnet.lang import parse_text
-from wugnet.learner import Situation, process_generic
+from wugnet.learner import LearningInstance, Situation, observe
 
 MEMBERS = ("bim", "dax", "fep", "gorp", "hen", "kiv", "lum", "nork", "tog", "zub")
 TARGETS = (("red", ATTRIBUTE, IS), ("green", ATTRIBUTE, IS),
@@ -75,7 +74,7 @@ def test_inheritance_is_bit_identical_to_the_oracles(ops, novel_generics):
     oracle = net.copy()
     for stem, vowel, category_name in novel_generics:
         novel = stem + vowel
-        process_generic(net, parse_text(f"{novel}s are {category_name}s"), Situation())
+        observe(net, LearningInstance(Situation(), f"{novel}s are {category_name}s"))
         inherit_novel_member(oracle, novel, oracle.require(category_name, CATEGORY))
         assert network_to_text(net) == network_to_text(oracle)
         _assert_index_matches_oracles(net)

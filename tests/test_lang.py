@@ -158,6 +158,10 @@ def test_lexicon_format_errors_carry_line_numbers():
     assert err.value.line == 2
     with pytest.raises(LexiconFormatError):
         Lexicon.from_text("word ball noun\n")
+    for attribute in ("lemma=", "lemma=ball plural-of="):
+        with pytest.raises(LexiconFormatError, match=attribute.split()[-1]) as err:
+            Lexicon.from_text(f"word ball noun lemma=ball\nword balls noun {attribute}\n")
+        assert err.value.line == 2
 
 
 def test_lexicon_display_and_plural_helpers():

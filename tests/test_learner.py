@@ -219,3 +219,9 @@ def test_report_serializes_to_a_json_line():
     assert record["generic"] is False
     assert record["edges"][0][:3] == ["object/cookie", "is", "attribute/blue"]
     assert record["edges"][0][3:5] == [0.0, 0.2]
+    # a generic's journal line keeps the instance's text as written
+    report = observe(net, inst("Cookies are light brown", Entity("e0", "cookie", "light-brown")))
+    record = json.loads(report.to_json_line(8))
+    assert record["utterance"] == "Cookies are light brown"
+    assert record["generic"] is True
+    assert record["edges"] == [["object/cookie", "is", "attribute/light-brown", 0.0, 1.0, True]]
