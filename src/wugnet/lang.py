@@ -83,11 +83,6 @@ class Lexicon:
         e = self._by_surface.get(surface)
         return e.pos if e else None
 
-    def noun_lemmas(self) -> list[str]:
-        """Singular lemmas of all noun-like entries."""
-        return sorted({e.lemma for e in self._by_surface.values()
-                       if e.pos in NOUN_LIKE and not e.plural_of})
-
     def plural_surface(self, lemma: str) -> str:
         """Plural surface form of a noun lemma; regular +s when unlisted."""
         return self._plural_of.get(lemma, lemma + "s")

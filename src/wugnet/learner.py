@@ -110,12 +110,7 @@ def _link(net: ConceptNetwork, report: ObservationReport, src: Concept, dst: Con
     weight None applies the plateauing update; otherwise the weight and
     generic flag are stored.
     """
-    old = net.get_strength(src, dst, label)
-    if weight is None:
-        new = net.observe_association(src, dst, label)
-    else:
-        net.set_strength(src, dst, label, weight, generic)
-        new = weight
+    old, new = net.write(src, dst, label, weight, generic)
     report.edges.append(EdgeWrite(src.key, label, dst.key, old, new, generic))
 
 

@@ -35,7 +35,6 @@ class ConceptMatrix:
         self.columns = columns
         self.weights = weights
         self._row_index = {c: i for i, c in enumerate(concepts)}
-        self._col_index = {(col.target, col.label): i for i, col in enumerate(columns)}
 
     @property
     def shape(self) -> tuple[int, int]:
@@ -46,13 +45,6 @@ class ConceptMatrix:
             return self._row_index[concept]
         except KeyError:
             raise ValueError(f"unknown concept {concept.key}") from None
-
-    def entry(self, concept: Concept, target: Concept, label: str) -> float:
-        """Stored weight for (concept, target⊕label); 0.0 without a column."""
-        col = self._col_index.get((target, label))
-        if col is None:
-            return 0.0
-        return float(self.weights[self.row_of(concept), col])
 
 
 def build_matrix(net: ConceptNetwork) -> ConceptMatrix:
@@ -108,12 +100,14 @@ def cosine_similarity(u, v) -> float:
     return min(1.0, max(0.0, float(np.dot(u, v)) / denom))
 
 
-@dataclass
+@dataclass(eq=False, repr=False)
 class ClusterNode:
     """Binary merge tree; leaves carry concepts, internal nodes a height.
 
-    leaves() and to_text() walk the tree with an explicit stack, so an
-    all-tied matrix (a chain n-1 levels deep) does not hit the recursion limit.
+    leaves(), to_text(), == and repr() walk the tree with an explicit
+    stack, so an all-tied matrix (a chain n-1 levels deep) does not hit
+    the recursion limit. == and repr() give what the dataclass-generated
+    ones give.
     """
 
     height: float
@@ -142,6 +136,40 @@ class ClusterNode:
                 left, right = item.children
                 parts.append("(")
                 stack.extend((f"):{item.height:.6f}", right, " ", left))
+        return "".join(parts)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        stack = [(self, other)]
+        while stack:
+            a, b = stack.pop()
+            if a is b:  # tuple comparison checks identity first
+                continue
+            if not (a.height is b.height or a.height == b.height) or a.concept != b.concept:
+                return False
+            if a.children is None or b.children is None:
+                if a.children is not b.children:
+                    return False
+            else:
+                stack.extend(zip(reversed(a.children), reversed(b.children)))
+        return True
+
+    def __repr__(self) -> str:
+        parts, stack = [], [self]
+        while stack:
+            item = stack.pop()
+            if isinstance(item, str):
+                parts.append(item)
+                continue
+            parts.append(f"{item.__class__.__qualname__}(height={item.height!r}, "
+                         f"concept={item.concept!r}, children=")
+            if item.children is None:
+                parts.append("None)")
+            else:
+                left, right = item.children
+                parts.append("(")
+                stack.extend(("))", right, ", ", left))
         return "".join(parts)
 
 

@@ -180,6 +180,7 @@ def test_criterion_06_matrix_graph_oracle():
     rng = random.Random(7)
     concepts = net.concepts()
     pairs = [(col.target, col.label) for col in m.columns]
+    column_of = {pair: j for j, pair in enumerate(pairs)}
     for k in range(1000):
         src = rng.choice(concepts)
         if k % 5 == 0:  # absent (target, label) combos must read as 0 on both sides
@@ -187,7 +188,9 @@ def test_criterion_06_matrix_graph_oracle():
             label = rng.choice(("slot-1", "slot-2", IS))
         else:
             target, label = rng.choice(pairs)
-        assert m.entry(src, target, label) == net.get_strength(src, target, label)
+        j = column_of.get((target, label))
+        stored = 0.0 if j is None else float(m.weights[m.row_of(src), j])
+        assert stored == net.get_strength(src, target, label)
 
     for _ in range(100):
         dim = rng.randint(2, 12)

@@ -1,7 +1,13 @@
 """members_of, member_average and novel-member inheritance against the slow oracles.
 
-Comparisons are exact: float ==, and identical network files.
+Comparisons are exact: float ==, repr (the sign of zero), and identical
+network files.
 """
+
+import importlib.util
+import random
+from itertools import product
+from pathlib import Path
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -11,14 +17,16 @@ from wugnet.graph import (
     ACTION,
     ATTRIBUTE,
     CATEGORY,
+    FOLD_MIN_MEMBERS,
     IS,
     OBJECT,
     SLOT1,
     SLOT2,
     ConceptNetwork,
+    network_from_text,
     network_to_text,
 )
-from wugnet.learner import LearningInstance, Situation, observe
+from wugnet.learner import LearningInstance, Situation, learn_curriculum, observe
 
 MEMBERS = ("bim", "dax", "fep", "gorp", "hen", "kiv", "lum", "nork", "tog", "zub")
 TARGETS = (("red", ATTRIBUTE, IS), ("green", ATTRIBUTE, IS),
@@ -79,3 +87,110 @@ def test_inheritance_is_bit_identical_to_the_oracles(ops, novel_generics):
         assert network_to_text(net) == network_to_text(oracle)
         _assert_index_matches_oracles(net)
 
+
+# Categories on both sides of FOLD_MIN_MEMBERS: "herd" starts above it,
+# "flock" two below (joins carry it across), "pair" and "none" stay small.
+# Every starting member of flock is also a member of herd.
+FOLD_NAMES = ["".join(t) for t in product("bdgkpt", "aeiou", "lmn")][:FOLD_MIN_MEMBERS + 8]
+FOLD_START = {"herd": FOLD_NAMES[:FOLD_MIN_MEMBERS + 2],
+              "flock": FOLD_NAMES[4:FOLD_MIN_MEMBERS + 2],
+              "pair": FOLD_NAMES[-3:-1],
+              "none": []}
+# red and hop/slot-1 carry the starting weights; the rest are new keys
+FOLD_TARGETS = (("red", ATTRIBUTE, IS), ("blue", ATTRIBUTE, IS), ("tan", ATTRIBUTE, IS),
+                ("hop", ACTION, SLOT1), ("hop", ACTION, SLOT2), ("eat", ACTION, SLOT1),
+                *((name, CATEGORY, IS) for name in FOLD_START))
+
+fold_weights = st.one_of(st.sampled_from([0.0, -0.0, 0.2, 1.0]),
+                         st.floats(min_value=0.0, max_value=1.0))
+fold_member = st.integers(0, len(FOLD_NAMES) - 1)
+fold_ops = st.lists(st.one_of(
+    st.tuples(st.sampled_from(["observe", "generic"]), fold_member,
+              st.sampled_from(FOLD_TARGETS)),
+    st.tuples(st.just("set"), fold_member, st.sampled_from(FOLD_TARGETS), fold_weights),
+    st.sampled_from([("average",), ("copy",), ("text",)]),
+), max_size=80)
+
+
+def _fold_network() -> ConceptNetwork:
+    rng = random.Random(0)  # weights whose sums round differently in another order
+    net = ConceptNetwork()
+    for name in FOLD_NAMES:
+        net.add_concept(name, OBJECT)
+    for name, kind, _ in FOLD_TARGETS:
+        net.add_concept(name, kind)
+    red, hop = net.require("red", ATTRIBUTE), net.require("hop", ACTION)
+    for category_name, names in FOLD_START.items():
+        category = net.require(category_name, CATEGORY)
+        for name in names:
+            member = net.require(name, OBJECT)
+            net.assert_generic(member, category, IS)
+            net.set_strength(member, red, IS, rng.random())
+            net.set_strength(member, hop, SLOT1, rng.random())
+    return net
+
+
+def _assert_averages_match(net: ConceptNetwork) -> None:
+    for name in FOLD_START:
+        category = net.require(name, CATEGORY)
+        fast, slow = net.member_average(category), member_average_reaveraged(net, category)
+        assert fast == slow
+        assert repr(fast) == repr(slow)
+
+
+@settings(max_examples=200, deadline=None)
+@given(fold_ops)
+def test_member_average_folds_track_interleaved_writes(ops):
+    net, earlier = _fold_network(), []
+    _assert_averages_match(net)
+    for op, *args in ops:
+        if op == "average":
+            _assert_averages_match(net)
+        elif op == "copy":
+            earlier.append(net)
+            net = net.copy()
+        elif op == "text":
+            earlier.append(net)
+            net = network_from_text(network_to_text(net))
+        else:
+            src = net.require(FOLD_NAMES[args[0]], OBJECT)
+            name, kind, label = args[1]
+            dst = net.require(name, kind)
+            if op == "observe":
+                net.observe_association(src, dst, label)
+            elif op == "generic":
+                net.assert_generic(src, dst, label)
+            else:
+                net.set_strength(src, dst, label, args[2])
+    for net in earlier + [net]:
+        _assert_averages_match(net)
+
+
+class _OracleNetwork(ConceptNetwork):
+    """A network whose member averages come from the slow oracle."""
+
+    def member_average(self, category):
+        return member_average_reaveraged(self, category)
+
+
+def _synth():
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "synth.py"
+    spec = importlib.util.spec_from_file_location("synth", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_scaled_novel_members_match_the_oracle_network():
+    # the benchmark's novel-members inputs, cut to 200 nouns and 150 generics
+    lexicon, curriculum, generics = _synth().novel_members_inputs(0, 200, 150)
+    net, oracle = ConceptNetwork(), _OracleNetwork()
+    learn_curriculum(net, curriculum, lexicon)
+    learn_curriculum(oracle, curriculum, lexicon)
+    assert network_to_text(net) == network_to_text(oracle)
+    categories = [c for c in net.concepts() if c.kind == CATEGORY]
+    assert min(len(net.members_of(c)) for c in categories) >= FOLD_MIN_MEMBERS
+    for instance in generics:
+        observe(net, instance, lexicon)
+        observe(oracle, instance, lexicon)
+        assert network_to_text(net) == network_to_text(oracle)

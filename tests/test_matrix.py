@@ -1,5 +1,6 @@
 import math
 import random
+from dataclasses import make_dataclass
 
 import numpy as np
 import pytest
@@ -19,6 +20,12 @@ from wugnet.matrix import (
 )
 
 
+def weight_at(m, concept, target, label):
+    """m.weights at (concept, target⊕label); 0.0 when m has no such column."""
+    cols = [j for j, col in enumerate(m.columns) if (col.target, col.label) == (target, label)]
+    return float(m.weights[m.row_of(concept), cols[0]]) if cols else 0.0
+
+
 def single_edge_network():
     net = ConceptNetwork()
     mom = net.add_concept("mom", OBJECT)
@@ -31,7 +38,7 @@ def test_single_edge_matrix():
     net, mom, drink = single_edge_network()
     m = build_matrix(net)
     assert [c.key for c in m.columns] == ["drink⊕slot-1"]
-    assert m.entry(mom, drink, SLOT1) == net.get_strength(mom, drink, SLOT1)
+    assert weight_at(m, mom, drink, SLOT1) == net.get_strength(mom, drink, SLOT1)
 
 
 def test_slots_expand_to_distinct_columns():
@@ -78,16 +85,16 @@ def test_matrix_entries_match_get_strength_on_random_probes():
     for _ in range(200):
         src = rng.choice(objs)
         dst = rng.choice(attrs)
-        assert m.entry(src, dst, IS) == net.get_strength(src, dst, IS)
+        assert weight_at(m, src, dst, IS) == net.get_strength(src, dst, IS)
 
 
 def test_rebuild_after_update_restores_consistency():
     net, mom, drink = single_edge_network()
     stale = build_matrix(net)
     net.observe_association(mom, drink, SLOT1)
-    assert stale.entry(mom, drink, SLOT1) != net.get_strength(mom, drink, SLOT1)
+    assert weight_at(stale, mom, drink, SLOT1) != net.get_strength(mom, drink, SLOT1)
     fresh = build_matrix(net)
-    assert fresh.entry(mom, drink, SLOT1) == net.get_strength(mom, drink, SLOT1)
+    assert weight_at(fresh, mom, drink, SLOT1) == net.get_strength(mom, drink, SLOT1)
 
 
 def test_category_vector_is_the_member_mean():
@@ -279,24 +286,75 @@ def test_merge_tree_text_is_nested_parentheses():
     assert "(" in text.splitlines()[-1] and "):" in text.splitlines()[-1]
 
 
+def _chain(names, nest, top_height=0.25):
+    leaves = [ClusterNode(0.0, concept=Concept(OBJECT, name)) for name in names]
+    if nest == "left":
+        tree = leaves[0]
+        for leaf in leaves[1:-1]:
+            tree = ClusterNode(0.25, children=(tree, leaf))
+        return ClusterNode(top_height, children=(tree, leaves[-1]))
+    tree = leaves[-1]
+    for leaf in reversed(leaves[1:-1]):
+        tree = ClusterNode(0.25, children=(leaf, tree))
+    return ClusterNode(top_height, children=(leaves[0], tree))
+
+
 @pytest.mark.parametrize("nest", ["left", "right"])
 def test_deep_chain_walks_without_recursion(nest):
     # an all-tied matrix merges into a chain n-1 levels deep
     names = [f"n{i:04d}" for i in range(5000)]
-    leaves = [ClusterNode(0.0, concept=Concept(OBJECT, name)) for name in names]
+    tree = _chain(names, nest)
+    inner = "ClusterNode(height=0.25, concept=None, children=("
+    leaf = "ClusterNode(height=0.0, concept=Concept(kind='object', name='{}'), children=None)"
     if nest == "left":
-        tree = leaves[0]
-        for leaf in leaves[1:]:
-            tree = ClusterNode(0.25, children=(tree, leaf))
         text = "(" * 4999 + names[0] + "".join(f" {name}):0.250000" for name in names[1:])
+        rep = inner * 4999 + leaf.format(names[0]) + "".join(
+            ", " + leaf.format(name) + "))" for name in names[1:])
     else:
-        tree = leaves[-1]
-        for leaf in reversed(leaves[:-1]):
-            tree = ClusterNode(0.25, children=(leaf, tree))
         text = "".join(f"({name} " for name in names[:-1]) + names[-1] + "):0.250000" * 4999
+        rep = "".join(inner + leaf.format(name) + ", " for name in names[:-1]) + (
+            leaf.format(names[-1]) + "))" * 4999)
     assert [c.name for c in tree.leaves()] == names
     assert tree.to_text() == text
     assert clusters_to_text(tree.leaves(), tree).splitlines()[-1] == f"tree {text}"
+    assert repr(tree) == rep
+    assert tree == _chain(names, nest)
+    assert tree != _chain(names, nest, top_height=0.5)
+    assert tree != _chain(names[:-1] + ["n9999"], nest)
+
+
+_GeneratedNode = make_dataclass(
+    "ClusterNode", [("height", float), ("concept", object, None), ("children", object, None)])
+
+
+def _generated(node):
+    """The same tree in a dataclass with the generated, recursive == and repr."""
+    children = None if node.children is None else tuple(map(_generated, node.children))
+    return _GeneratedNode(node.height, node.concept, children)
+
+
+def _rebuilt(node):
+    children = None if node.children is None else tuple(map(_rebuilt, node.children))
+    return ClusterNode(node.height, node.concept, children)
+
+
+_heights = st.one_of(st.sampled_from([0.0, -0.0, 0.25]), st.floats())
+_trees = st.recursive(
+    st.builds(lambda h, name: ClusterNode(h, concept=Concept(OBJECT, name)),
+              _heights, st.sampled_from("ab")),
+    lambda sub: st.builds(lambda h, left, right: ClusterNode(h, children=(left, right)),
+                          _heights, sub, sub),
+    max_leaves=6)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_trees, _trees)
+def test_cluster_node_eq_and_repr_match_the_generated_ones(a, b):
+    assert repr(a) == repr(_generated(a))
+    assert (a == b) == (_generated(a) == _generated(b))
+    # rebuilt trees share the height objects, so a NaN height matches itself
+    assert (a == _rebuilt(a)) == (_generated(a) == _generated(_rebuilt(a)))
+    assert a == a and a != "a"
 
 
 def test_matrix_csv_layout():
