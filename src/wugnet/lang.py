@@ -33,7 +33,7 @@ NUMBER_VALUES: dict[str, int | None] = {"two": 2, "three": 3, "four": 4, "many":
 # one whitespace-separated chunk: letters joined by single hyphens, then
 # optional sentence punctuation
 _CHUNK_RE = re.compile(r"([A-Za-z]+(?:-[A-Za-z]+)*)[.,!?]*")
-_LEXEME_RE = re.compile(r"^[a-z][a-z-]*$")
+_LEXEME_RE = re.compile(r"[a-z][a-z-]*")
 
 
 class LexiconFormatError(FormatError):
@@ -97,7 +97,7 @@ class Lexicon:
     @classmethod
     def from_text(cls, text: str) -> "Lexicon":
         """Parse `word <surface> <pos> lemma=<lemma> [plural-of=<lemma>]` lines."""
-        entries: list[LexEntry] = []
+        entries: dict[str, LexEntry] = {}
         for lineno, raw in enumerate(text.splitlines(), start=1):
             line = raw.strip()
             if not line or line.startswith("#"):
@@ -124,8 +124,10 @@ class Lexicon:
                     plural_of = value
             if lemma is None:
                 raise LexiconFormatError("missing lemma=", lineno)
-            entries.append(LexEntry(surface, pos, lemma, plural_of))
-        return cls(entries)
+            if surface in entries:
+                raise LexiconFormatError(f"duplicate surface form {surface!r}", lineno)
+            entries[surface] = LexEntry(surface, pos, lemma, plural_of)
+        return cls(list(entries.values()))
 
     def to_text(self) -> str:
         lines = []
@@ -328,7 +330,7 @@ def _plural_np(token: str, lex: Lexicon, number: str | None = None) -> NounPhras
         lemma = token[:-1]
         se = lex.get(lemma)
         novel = se is None
-        if not (_LEXEME_RE.match(lemma) if novel else se.pos in NOUN_LIKE):
+        if not (_LEXEME_RE.fullmatch(lemma) if novel else se.pos in NOUN_LIKE):
             return None
     elif e is not None and e.pos == NOUN and e.plural_of:
         lemma, novel = e.plural_of, False

@@ -51,10 +51,7 @@ def build_matrix(net: ConceptNetwork) -> ConceptMatrix:
     """Snapshot the network; rows and columns sorted by kind, name, label."""
     concepts = tuple(net.concepts())
     edges = net.edges()
-    pairs = sorted(
-        {(e.target, e.label) for e in edges if e.weight > 0.0},
-        key=lambda p: (p[0].kind, p[0].name, p[1]),
-    )
+    pairs = sorted({(e.target, e.label) for e in edges if e.weight > 0.0})
     columns = tuple(ExpandedColumn(target, label) for target, label in pairs)
     weights = np.zeros((len(concepts), len(columns)), dtype=np.float64)
     col_index = {(col.target, col.label): j for j, col in enumerate(columns)}

@@ -44,7 +44,7 @@ def test_category_node_starts_with_no_members(net):
     assert net.members_of(animal) == []
 
 
-@pytest.mark.parametrize("bad", ["", "Bird", "b!rd", "3dogs", "two words"])
+@pytest.mark.parametrize("bad", ["", "Bird", "b!rd", "3dogs", "two words", "dog\n"])
 def test_malformed_names_rejected(net, bad):
     with pytest.raises(ValueError):
         net.add_concept(bad, OBJECT)
@@ -190,17 +190,53 @@ def test_truncated_edge_line_reports_position():
     assert err.value.line == 3
 
 
+# a header and three nodes, so an edge line below it is line 5
+_NODES = "conceptnet v1\nnode object a\nnode attribute b\nnode action c\n"
+
+
 @pytest.mark.parametrize("text,line", [
     ("node object cookie\n", 1),                      # missing header
     ("conceptnet v1\nnode widget cookie\n", 2),       # unknown kind
     ("conceptnet v1\nnoise\n", 2),                    # unknown line type
     ("conceptnet v1\nnode object a\nnode object a\n", 3),
     ("conceptnet v1\nedge object/a is attribute/b 0.5 generic:0\n", 2),
+    (_NODES + "edge object/a has attribute/b 0.5 generic:0\n", 5),     # unknown label
+    (_NODES + "edge object/a slot-1 attribute/b 0.5 generic:0\n", 5),  # slot into an attribute
+    (_NODES + "edge object/a is attribute/b 1.5 generic:0\n", 5),      # weight out of range
+    (_NODES + "edge object/a is attribute/b -0.5 generic:0\n", 5),
+    (_NODES + "edge object/a is attribute/b nan generic:0\n", 5),
+    (_NODES + "edge object/a is attribute/b inf generic:0\n", 5),
+    (_NODES + "edge object/a is attribute/b abc generic:0\n", 5),      # no float
+    (_NODES + "edge object/a is attribute/b 1.0 generic:2\n", 5),      # bad flag
+    (_NODES + "edge object/a is attribute/b 0.5 generic:1\n", 5),      # generic below 1.0
+    (_NODES + "edge objecta is attribute/b 0.5 generic:0\n", 5),       # key without '/'
 ])
 def test_malformed_files_name_the_line(text, line):
     with pytest.raises(NetworkFormatError) as err:
         network_from_text(text)
     assert err.value.line == line
+
+
+def test_networks_differing_in_one_detail_are_unequal():
+    def build(weight=0.5, generic=False, label=SLOT1, extra_node=False):
+        net = ConceptNetwork()
+        a = net.add_concept("a", OBJECT)
+        animal = net.add_concept("animal", CATEGORY)
+        net.set_strength(a, net.add_concept("b", ATTRIBUTE), IS, weight)
+        net.set_strength(a, animal, IS, 1.0, generic)
+        net.set_strength(a, net.add_concept("c", ACTION), label, 0.25)
+        if extra_node:
+            net.add_concept("d", OBJECT)
+        return net
+
+    base = build()
+    assert build() == base
+    for other in (build(weight=0.25), build(generic=True), build(label=SLOT2),
+                  build(extra_node=True)):
+        assert other != base and base != other
+    assert build(weight=-0.0) == build(weight=0.0)
+    assert base.copy() == base
+    assert network_from_text(network_to_text(base)) == base
 
 
 def test_comments_and_blank_lines_ignored():

@@ -120,6 +120,12 @@ def test_parse_errors_name_the_offending_token(text, bad_token):
     assert err.value.token == bad_token
 
 
+def test_novel_plural_stem_is_a_whole_lexeme():
+    # a stem ending in a newline is no lexeme, so no concept name
+    with pytest.raises(ParseError):
+        parse(["wug\ns"], default_lexicon())
+
+
 def test_empty_utterance_rejected():
     with pytest.raises(ParseError):
         parse([], default_lexicon())
@@ -164,6 +170,9 @@ def test_lexicon_format_errors_carry_line_numbers():
         with pytest.raises(LexiconFormatError, match=attribute.split()[-1]) as err:
             Lexicon.from_text(f"word ball noun lemma=ball\nword balls noun {attribute}\n")
         assert err.value.line == 2
+    with pytest.raises(LexiconFormatError, match="duplicate") as err:
+        Lexicon.from_text("word a determiner lemma=a\n\nword a determiner lemma=a\n")
+    assert err.value.line == 3
 
 
 def test_lexicon_display_and_plural_helpers():
