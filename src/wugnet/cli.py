@@ -8,6 +8,7 @@ failure or a failed task check, 2 I/O failure.
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 from pathlib import Path
 
@@ -37,7 +38,13 @@ class _Parser(argparse.ArgumentParser):
         self.exit(EXIT_FAIL, f"{self.prog}: error: {message}\n")
 
 
+@functools.cache
 def _build_parser() -> _Parser:
+    """The argument parser, built once per process on first use.
+
+    parse_args keeps no state between calls, so every main() reuses it;
+    nothing may add to or change the parser after it is built.
+    """
     parser = _Parser(prog="wugnet",
                      description="Learn and query a concept network over toy English.")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -112,7 +119,7 @@ def _cmd_learn(args) -> int:
         Path(args.network + ".trace.jsonl").write_text(
             "\n".join(trace_lines) + ("\n" if trace_lines else ""), encoding="utf-8")
     print(f"learned {len(curriculum.instances)} instances -> "
-          f"{len(net)} concepts, {len(net.edges())} edges", file=sys.stderr)
+          f"{len(net)} concepts, {net.edge_count()} edges", file=sys.stderr)
     return EXIT_OK
 
 

@@ -360,24 +360,26 @@ def _parse_scene(text: str, lineno: int) -> Situation:
                 key, sep, value = fields[3].partition("=")
                 if key != "color" or not sep:
                     raise CurriculumFormatError(f"bad entity attribute {fields[3]!r}", lineno)
+                if not value:
+                    raise CurriculumFormatError(f"empty {key}= value", lineno)
                 color = value
             entities.append(Entity(fields[1], fields[2], color))
         elif fields[0] == "action":
             if len(fields) not in (3, 4):
                 raise CurriculumFormatError(f"bad action declaration {item!r}", lineno)
-            agent = None
-            patient = None
+            roles: dict[str, str] = {}
             for extra in fields[2:]:
                 key, sep, value = extra.partition("=")
-                if key == "agent" and sep:
-                    agent = value
-                elif key == "patient" and sep:
-                    patient = value
-                else:
+                if key not in ("agent", "patient") or not sep:
                     raise CurriculumFormatError(f"bad action attribute {extra!r}", lineno)
-            if agent is None:
+                if not value:
+                    raise CurriculumFormatError(f"empty {key}= value", lineno)
+                if key in roles:
+                    raise CurriculumFormatError(f"repeated {key}= attribute", lineno)
+                roles[key] = value
+            if "agent" not in roles:
                 raise CurriculumFormatError("action needs an agent=", lineno)
-            actions.append(ActionFrame(fields[1], agent, patient))
+            actions.append(ActionFrame(fields[1], roles["agent"], roles.get("patient")))
         else:
             raise CurriculumFormatError(f"expected 'entity' or 'action', got {fields[0]!r}", lineno)
     try:

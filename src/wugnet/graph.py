@@ -80,13 +80,18 @@ class Concept(NamedTuple):
         return self.key
 
 
-@dataclass
+@dataclass(slots=True)
 class Edge:
     source: Concept
     target: Concept
     label: str
     weight: float = 0.0
     generic_origin: bool = False
+
+
+# The (label, target kind) pairs an edge may have; _check_label names the
+# rule a pair outside this set breaks.
+_EDGE_RULES = frozenset({(SLOT1, ACTION), (SLOT2, ACTION), (IS, ATTRIBUTE), (IS, CATEGORY)})
 
 
 def _check_label(target: Concept, label: str) -> None:
@@ -186,6 +191,10 @@ class ConceptNetwork:
             edges.extend(out[key] for key in sorted(out))
         return edges
 
+    def edge_count(self) -> int:
+        """Number of edges, counted without building or sorting them."""
+        return sum(map(len, self._out.values()))
+
     def edge(self, src: Concept, dst: Concept, label: str) -> Edge | None:
         return self._out.get(src, {}).get((dst, label))
 
@@ -196,17 +205,21 @@ class ConceptNetwork:
         weight None applies the plateauing update, which leaves a generic
         edge at 1.0; otherwise the weight and generic flag are stored.
         old is 0.0 for an edge this write creates. Nothing changes unless
-        every check passes.
+        every check passes. Each check is one probe; only a failed probe
+        calls the helper that raises the error naming it.
         """
-        self._require_member(src)
-        self._require_member(dst)
-        _check_label(dst, label)
+        out = self._out.get(src)
+        if out is None:
+            self._require_member(src)
+        if dst not in self._out:
+            self._require_member(dst)
+        if (label, dst.kind) not in _EDGE_RULES:
+            _check_label(dst, label)
         if weight is not None:
             if not 0.0 <= weight <= 1.0:
                 raise ValueError(f"edge weight {weight} outside [0, 1]")
             if generic and weight != 1.0:
                 raise ValueError("generic edges must have weight 1.0")
-        out = self._out[src]
         e = out.get((dst, label))
         if e is None:
             e = out[(dst, label)] = Edge(src, dst, label)
@@ -239,7 +252,7 @@ class ConceptNetwork:
 
     def set_strength(self, src: Concept, dst: Concept, label: str, weight: float,
                      generic: bool = False) -> None:
-        """Write an edge weight directly (used when loading and copying)."""
+        """Write an edge weight directly (used when copying)."""
         self.write(src, dst, label, weight, generic)
 
     def get_strength(self, src: Concept, dst: Concept, label: str) -> float:
@@ -363,19 +376,34 @@ def diff_networks(before: ConceptNetwork, after: ConceptNetwork) -> list[str]:
 # -- persistence --------------------------------------------------------
 
 def network_to_text(net: ConceptNetwork) -> str:
+    """Header, node lines sorted by kind and name, then edge lines in edges() order.
+
+    Each node's key is formatted once; edges are walked per source in the
+    node order, each source's out-edges sorted by (target, label).
+    """
+    nodes = net.concepts()
+    keys = {node: f"{node.kind}/{node.name}" for node in nodes}
     lines = ["conceptnet v1"]
-    for node in net.concepts():
-        lines.append(f"node {node.kind} {node.name}")
-    for e in net.edges():
-        lines.append(
-            f"edge {e.source.key} {e.label} {e.target.key} "
-            f"{e.weight:.17g} generic:{int(e.generic_origin)}"
-        )
+    lines.extend(f"node {node.kind} {node.name}" for node in nodes)
+    for src in nodes:
+        out = net._out[src]
+        if out:
+            head = f"edge {keys[src]} "
+            lines.extend(f"{head}{label} {keys[dst]} {e.weight:.17g} generic:{int(e.generic_origin)}"
+                         for (dst, label), e in sorted(out.items()))
     return "\n".join(lines) + "\n"
 
 
 def network_from_text(text: str) -> ConceptNetwork:
+    """Parse network_to_text's format; a bad line raises NetworkFormatError with its number.
+
+    Node lines map each `kind/name` key to its Concept, so an edge line
+    looks both keys up in one probe each; _node_from_key is called only
+    to raise the error for a key that misses.
+    """
     net = ConceptNetwork()
+    write = net.write
+    nodes: dict[str, Concept] = {}
     seen_header = False
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
@@ -391,18 +419,19 @@ def network_from_text(text: str) -> ConceptNetwork:
             if len(fields) != 3:
                 raise NetworkFormatError("node line needs 'node <kind> <name>'", lineno)
             _, kind, name = fields
-            if net.get(name, kind) is not None:
-                raise NetworkFormatError(f"duplicate node {kind}/{name}", lineno)
+            key = f"{kind}/{name}"
+            if key in nodes:
+                raise NetworkFormatError(f"duplicate node {key}", lineno)
             try:
-                net.add_concept(name, kind)
+                nodes[key] = net.add_concept(name, kind)
             except ValueError as err:
                 raise NetworkFormatError(str(err), lineno) from err
         elif fields[0] == "edge":
             if len(fields) != 6:
                 raise NetworkFormatError("edge line needs 6 fields", lineno)
             _, src_key, label, dst_key, weight_s, flag_s = fields
-            src = _node_from_key(net, src_key, lineno)
-            dst = _node_from_key(net, dst_key, lineno)
+            src = nodes.get(src_key) or _node_from_key(net, src_key, lineno)
+            dst = nodes.get(dst_key) or _node_from_key(net, dst_key, lineno)
             try:
                 weight = float(weight_s)
             except ValueError as err:
@@ -410,7 +439,7 @@ def network_from_text(text: str) -> ConceptNetwork:
             if flag_s not in ("generic:0", "generic:1"):
                 raise NetworkFormatError(f"bad generic flag {flag_s!r}", lineno)
             try:
-                net.set_strength(src, dst, label, weight, flag_s == "generic:1")
+                write(src, dst, label, weight, flag_s == "generic:1")
             except ValueError as err:
                 raise NetworkFormatError(str(err), lineno) from err
         else:

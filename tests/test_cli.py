@@ -24,6 +24,16 @@ def test_learn_builtin_writes_a_network(tmp_path, capsys):
     assert "learned" in err
 
 
+def test_learn_summary_line_counts_concepts_and_edges(tmp_path, capsys):
+    out = tmp_path / "net.txt"
+    code, _, err = run(capsys, "learn", "--curriculum", "builtin:objects-and-colors",
+                       "--network", str(out))
+    assert code == 0
+    assert err == "learned 94 instances -> 33 concepts, 66 edges\n"
+    net = load_network(out)
+    assert (len(net), len(net.edges())) == (33, 66)
+
+
 def test_learn_empty_curriculum_writes_empty_network(tmp_path, capsys):
     src = tmp_path / "empty.cur"
     src.write_text("# nothing here\n")
@@ -176,3 +186,19 @@ def test_export_of_empty_network_is_headers_only(tmp_path, capsys):
 def test_usage_errors_exit_1(capsys):
     assert main(["frobnicate"]) == 1
     assert main(["learn"]) == 1
+
+
+def test_one_parser_serves_every_call_in_a_process(tmp_path, capsys):
+    code, out, err = run(capsys, "learn")
+    assert (code, out) == (1, "")
+    assert err == ("wugnet learn: error: the following arguments are required: "
+                   "--curriculum, --network\n")
+    code, _, err = run(capsys, "learn", "--curriculum", "builtin:objects-and-kinds",
+                       "--network", str(tmp_path / "net.txt"))
+    assert code == 0 and err.startswith("learned ")
+    helps = [run(capsys, "--help"), run(capsys, "--help")]
+    assert helps[0] == helps[1]
+    assert helps[0][0] == 0 and helps[0][1].startswith("usage: wugnet")
+    assert run(capsys, "learn", "--help") == run(capsys, "learn", "--help")
+    assert run(capsys, "learn")[0] == 1
+    assert cli._build_parser.cache_info().misses == 1

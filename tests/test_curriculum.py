@@ -163,12 +163,28 @@ def test_unknown_verb_names_token_and_line():
     ("instance\n  scene: entity e0 dog ; action sit agent=e9\n  say: a dog\n", 2),
     ("instance\n  scene: entity e0 dog\n", 2),
     ("instance\n  scene: entity e0 cookie\n  say: a 2 cookie\n", 3),
+    ("instance\n  say: a dog\n\ninstance\n  scene: entity e0 dog color=\n  say: a dog\n", 5),
+    ("instance\n  scene: entity e0 dog ; entity e1 cat ; action eat agent=e0 agent=e1\n"
+     "  say: a dog\n", 2),
 ])
 def test_malformed_curriculum_files(text, line):
     with pytest.raises(CurriculumFormatError) as err:
         curriculum_from_text(text)
     assert isinstance(err.value, FormatError)
     assert err.value.line == line
+
+
+@pytest.mark.parametrize("scene,message", [
+    ("entity e0 dog color=", "empty color= value"),
+    ("entity e0 dog ; action sit agent=", "empty agent= value"),
+    ("entity e0 dog ; entity e1 cat ; action eat agent=e0 agent=e1", "repeated agent= attribute"),
+    ("entity e0 dog ; entity e1 cat ; action eat patient=e0 patient=e1",
+     "repeated patient= attribute"),
+])
+def test_scene_attribute_errors_name_the_attribute(scene, message):
+    with pytest.raises(CurriculumFormatError, match=message) as err:
+        curriculum_from_text(f"instance\n  scene: {scene}\n  say: a dog\n")
+    assert err.value.line == 2
 
 
 def test_empty_file_is_an_empty_curriculum():

@@ -113,6 +113,32 @@ def test_label_kind_validation(net):
     net.observe_association(obj, color, IS)
 
 
+@pytest.mark.parametrize("label", [SLOT1, SLOT2, IS, "has"])
+@pytest.mark.parametrize("kind", [OBJECT, ATTRIBUTE, ACTION, CATEGORY])
+def test_each_label_and_target_kind_pair_is_checked(net, label, kind):
+    src = net.add_concept("ball", OBJECT)
+    dst = net.add_concept("zed", kind)
+    valid = {SLOT1: {ACTION}, SLOT2: {ACTION}, IS: {ATTRIBUTE, CATEGORY}}.get(label, set())
+    if kind in valid:
+        assert net.write(src, dst, label, 0.5, False) == (0.0, 0.5)
+    else:
+        with pytest.raises(EdgeRuleError):
+            net.write(src, dst, label, 0.5, False)
+        assert net.edge(src, dst, label) is None
+
+
+def test_writes_name_a_node_from_another_network(net):
+    ball = net.add_concept("ball", OBJECT)
+    red = net.add_concept("red", ATTRIBUTE)
+    ghost = ConceptNetwork().add_concept("ghost", OBJECT)
+    ghost_red = ConceptNetwork().add_concept("pink", ATTRIBUTE)
+    with pytest.raises(KeyError, match="concept object/ghost is not in this network"):
+        net.write(ghost, red, IS, 0.5, False)
+    with pytest.raises(KeyError, match="concept attribute/pink is not in this network"):
+        net.observe_association(ball, ghost_red, IS)
+    assert net.edges() == []
+
+
 def test_get_strength_missing_edge_is_zero(net):
     a = net.add_concept("a", OBJECT)
     b = net.add_concept("b", ATTRIBUTE)
