@@ -355,28 +355,12 @@ def _parse_scene(text: str, lineno: int) -> Situation:
         if fields[0] == "entity":
             if len(fields) not in (3, 4):
                 raise CurriculumFormatError(f"bad entity declaration {item!r}", lineno)
-            color = None
-            if len(fields) == 4:
-                key, sep, value = fields[3].partition("=")
-                if key != "color" or not sep:
-                    raise CurriculumFormatError(f"bad entity attribute {fields[3]!r}", lineno)
-                if not value:
-                    raise CurriculumFormatError(f"empty {key}= value", lineno)
-                color = value
-            entities.append(Entity(fields[1], fields[2], color))
+            attrs = CurriculumFormatError.attributes(fields[3:], ("color",), lineno)
+            entities.append(Entity(fields[1], fields[2], attrs.get("color")))
         elif fields[0] == "action":
             if len(fields) not in (3, 4):
                 raise CurriculumFormatError(f"bad action declaration {item!r}", lineno)
-            roles: dict[str, str] = {}
-            for extra in fields[2:]:
-                key, sep, value = extra.partition("=")
-                if key not in ("agent", "patient") or not sep:
-                    raise CurriculumFormatError(f"bad action attribute {extra!r}", lineno)
-                if not value:
-                    raise CurriculumFormatError(f"empty {key}= value", lineno)
-                if key in roles:
-                    raise CurriculumFormatError(f"repeated {key}= attribute", lineno)
-                roles[key] = value
+            roles = CurriculumFormatError.attributes(fields[2:], ("agent", "patient"), lineno)
             if "agent" not in roles:
                 raise CurriculumFormatError("action needs an agent=", lineno)
             actions.append(ActionFrame(fields[1], roles["agent"], roles.get("patient")))

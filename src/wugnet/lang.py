@@ -33,6 +33,7 @@ NUMBER_VALUES: dict[str, int | None] = {"two": 2, "three": 3, "four": 4, "many":
 # one whitespace-separated chunk: letters joined by single hyphens, then
 # optional sentence punctuation
 _CHUNK_RE = re.compile(r"([A-Za-z]+(?:-[A-Za-z]+)*)[.,!?]*")
+# a lexicon word or lemma: the pattern graph accepts as a concept name
 _LEXEME_RE = re.compile(r"[a-z][a-z-]*")
 
 
@@ -108,25 +109,15 @@ class Lexicon:
             surface, pos = fields[1], fields[2]
             if pos not in POS_TAGS:
                 raise LexiconFormatError(f"unknown part of speech {pos!r}", lineno)
-            lemma = None
-            plural_of = None
-            for extra in fields[3:]:
-                key, sep, value = extra.partition("=")
-                if not sep:
-                    raise LexiconFormatError(f"bad attribute {extra!r}", lineno)
-                if key not in ("lemma", "plural-of"):
-                    raise LexiconFormatError(f"unknown attribute {key!r}", lineno)
-                if not value:
-                    raise LexiconFormatError(f"empty {key}= value", lineno)
-                if key == "lemma":
-                    lemma = value
-                else:
-                    plural_of = value
-            if lemma is None:
+            attrs = LexiconFormatError.attributes(fields[3:], ("lemma", "plural-of"), lineno)
+            if "lemma" not in attrs:
                 raise LexiconFormatError("missing lemma=", lineno)
+            for value in (surface, *attrs.values()):
+                if not _LEXEME_RE.fullmatch(value):
+                    raise LexiconFormatError(f"{value!r} is not a lowercase lexeme", lineno)
             if surface in entries:
                 raise LexiconFormatError(f"duplicate surface form {surface!r}", lineno)
-            entries[surface] = LexEntry(surface, pos, lemma, plural_of)
+            entries[surface] = LexEntry(surface, pos, attrs["lemma"], attrs.get("plural-of"))
         return cls(list(entries.values()))
 
     def to_text(self) -> str:

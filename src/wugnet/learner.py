@@ -195,35 +195,18 @@ def _membership_generic(net: ConceptNetwork, report: ObservationReport,
 
     subject = net.get(subject_lemma, OBJECT)
     category = net.get(complement_lemma, CATEGORY)
-
-    if category is None:
-        clash = net.named(complement_lemma)
-        if clash:
-            raise UnlearnableGeneric(
-                f"'{complement_lemma}' already names a non-category concept")
-        if subject is None:
-            if net.named(subject_lemma):
-                raise UnlearnableGeneric(
-                    f"'{subject_lemma}' already names a non-object concept")
-            raise UnlearnableGeneric(
-                f"cannot learn '{subject_lemma} are {complement_lemma}': "
-                "both concepts are unknown")
-        category = _ensure(net, report, complement_lemma, CATEGORY)
-        _link(net, report, subject, category, IS, 1.0, generic=True)
-        return
-
-    if subject is not None:
-        # both known: plain maximization of the membership edge
-        _link(net, report, subject, category, IS, 1.0, generic=True)
-        return
-
-    if net.named(subject_lemma):
+    if category is None and net.named(complement_lemma):
+        raise UnlearnableGeneric(f"'{complement_lemma}' already names a non-category concept")
+    if subject is None and net.named(subject_lemma):
         raise UnlearnableGeneric(f"'{subject_lemma}' already names a non-object concept")
+    if subject is None and category is None:
+        raise UnlearnableGeneric(
+            f"cannot learn '{subject_lemma} are {complement_lemma}': both concepts are unknown")
 
-    # novel object into a known category: membership plus feature inheritance,
-    # averaged over the members before the subject joins them
-    averages = net.member_average(category)
-    subject = _ensure(net, report, subject_lemma, OBJECT)
+    # a novel subject inherits the average over the members before it joins them
+    averages = net.member_average(category) if subject is None else ()
+    subject = subject or _ensure(net, report, subject_lemma, OBJECT)
+    category = category or _ensure(net, report, complement_lemma, CATEGORY)
     _link(net, report, subject, category, IS, 1.0, generic=True)
     for target, label, mean in averages:
         # the subject's only edge is its membership, which stays generic

@@ -101,10 +101,10 @@ def cosine_similarity(u, v) -> float:
 class ClusterNode:
     """Binary merge tree; leaves carry concepts, internal nodes a height.
 
-    leaves(), to_text(), == and repr() walk the tree with an explicit
-    stack, so an all-tied matrix (a chain n-1 levels deep) does not hit
-    the recursion limit. == and repr() give what the dataclass-generated
-    ones give.
+    leaves() and to_text() walk the tree with an explicit stack, so an
+    all-tied matrix (a chain n-1 levels deep) does not hit the recursion
+    limit. Nodes compare by identity and keep object's repr; compare trees
+    by to_text() and their merge heights.
     """
 
     height: float
@@ -133,40 +133,6 @@ class ClusterNode:
                 left, right = item.children
                 parts.append("(")
                 stack.extend((f"):{item.height:.6f}", right, " ", left))
-        return "".join(parts)
-
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        stack = [(self, other)]
-        while stack:
-            a, b = stack.pop()
-            if a is b:  # tuple comparison checks identity first
-                continue
-            if not (a.height is b.height or a.height == b.height) or a.concept != b.concept:
-                return False
-            if a.children is None or b.children is None:
-                if a.children is not b.children:
-                    return False
-            else:
-                stack.extend(zip(reversed(a.children), reversed(b.children)))
-        return True
-
-    def __repr__(self) -> str:
-        parts, stack = [], [self]
-        while stack:
-            item = stack.pop()
-            if isinstance(item, str):
-                parts.append(item)
-                continue
-            parts.append(f"{item.__class__.__qualname__}(height={item.height!r}, "
-                         f"concept={item.concept!r}, children=")
-            if item.children is None:
-                parts.append("None)")
-            else:
-                left, right = item.children
-                parts.append("(")
-                stack.extend(("))", right, ", ", left))
         return "".join(parts)
 
 

@@ -180,6 +180,9 @@ def test_malformed_curriculum_files(text, line):
     ("entity e0 dog ; entity e1 cat ; action eat agent=e0 agent=e1", "repeated agent= attribute"),
     ("entity e0 dog ; entity e1 cat ; action eat patient=e0 patient=e1",
      "repeated patient= attribute"),
+    ("entity e0 dog size=big", "bad attribute 'size=big'"),
+    ("entity e0 dog red", "bad attribute 'red'"),
+    ("entity e0 dog ; action sit agent=e0 target=e0", "bad attribute 'target=e0'"),
 ])
 def test_scene_attribute_errors_name_the_attribute(scene, message):
     with pytest.raises(CurriculumFormatError, match=message) as err:

@@ -173,6 +173,27 @@ def test_lexicon_format_errors_carry_line_numbers():
     with pytest.raises(LexiconFormatError, match="duplicate") as err:
         Lexicon.from_text("word a determiner lemma=a\n\nword a determiner lemma=a\n")
     assert err.value.line == 3
+    for attributes, message in (
+            ("lemma=ball lemma=box", "repeated lemma= attribute"),
+            ("lemma=ball plural-of=ball plural-of=box", "repeated plural-of= attribute"),
+            ("lemma=ball size=big", "bad attribute 'size=big'")):
+        with pytest.raises(LexiconFormatError) as err:
+            Lexicon.from_text(f"word ball noun lemma=ball\nword balls noun {attributes}\n")
+        assert str(err.value) == f"line 2: {message}"
+        assert err.value.line == 2
+
+
+@pytest.mark.parametrize("entry", [
+    "word zorb noun lemma=Zorb",
+    "word Zorb noun lemma=zorb",
+    "word zorbs noun lemma=zorb plural-of=zo_rb",
+    "word zorb noun lemma=-zorb",
+])
+def test_lexicon_values_must_be_concept_names(entry):
+    # a lemma that no concept may have would only fail later, in the learner
+    with pytest.raises(LexiconFormatError, match="is not a lowercase lexeme") as err:
+        Lexicon.from_text(f"word a determiner lemma=a\n{entry}\n")
+    assert err.value.line == 2
 
 
 def test_lexicon_display_and_plural_helpers():
