@@ -69,7 +69,9 @@ def _build_parser() -> _Parser:
     task = sub.add_parser("run-task", help="run a built-in evaluation task")
     task.add_argument("task_id", type=int, choices=(1, 2, 3))
     task.add_argument("--out", default=".", help="output directory")
-    task.add_argument("--seed", type=int, default=0)
+    task.add_argument("--seed", type=int, default=0,
+                      help="reorders the instances inside each phase of the task's "
+                           "curricula; changes no network, CSV or SVG output")
 
     export = sub.add_parser("export", help="export the matrix or cluster order")
     export.add_argument("what", choices=("matrix", "clusters"))
