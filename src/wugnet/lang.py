@@ -9,7 +9,8 @@ bare plural (plural morphology, no determiner, no number word).
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
+import sys
+from dataclasses import dataclass
 from functools import lru_cache
 from pathlib import Path
 
@@ -59,9 +60,19 @@ class LexEntry:
 
 
 class Lexicon:
-    """Surface-form table. Immutable once built; safe to share."""
+    """Surface-form table. Its entries are fixed once built; safe to share.
+
+    Each lexicon also memoizes the front end: `tokenize` keeps each text's
+    tokens and `parse` each token tuple's frozen ParsedUtterance, so a
+    distinct utterance is read once per lexicon and every later parse of it
+    returns the same shared object. The memos grow with the number of
+    distinct utterances seen (they are never evicted) and hold no failures:
+    a ParseError is raised afresh, with its token and position, each time.
+    """
 
     def __init__(self, entries: list[LexEntry]):
+        self._tokens: dict[str, tuple[str, ...]] = {}
+        self._parses: dict[tuple[str, ...], ParsedUtterance] = {}
         self._by_surface: dict[str, LexEntry] = {}
         for e in entries:
             if e.surface in self._by_surface:
@@ -70,6 +81,10 @@ class Lexicon:
         self._plural_of: dict[str, str] = {
             e.plural_of: e.surface for e in entries if e.plural_of
         }
+        # each part of a surface that ends at one of its hyphens: the only
+        # words the tokenizer tries to join to the next word
+        self._join_heads = frozenset(
+            s[:k] for s in self._by_surface if "-" in s for k, c in enumerate(s) if c == "-")
 
     def get(self, surface: str) -> LexEntry | None:
         return self._by_surface.get(surface)
@@ -248,9 +263,17 @@ def tokenize(text: str, lexicon: Lexicon | None = None) -> list[str]:
     joined by single hyphens, followed by optional `.,!?`; any other chunk
     ("a2", "bears.sit", "-", ".") raises ParseError naming the chunk and
     its position. Adjacent words that spell a hyphenated lexicon entry
-    ("light brown") are joined into the single lexeme.
+    ("light brown") are joined into the single lexeme. Tokens are interned
+    and memoized per lexicon; each call returns a fresh list.
     """
     lex = lexicon or default_lexicon()
+    tokens = lex._tokens.get(text)
+    if tokens is None:
+        tokens = lex._tokens[text] = _tokenize(text, lex)
+    return list(tokens)
+
+
+def _tokenize(text: str, lex: Lexicon) -> tuple[str, ...]:
     words = []
     for position, chunk in enumerate(text.split()):
         m = _CHUNK_RE.fullmatch(chunk)
@@ -260,16 +283,17 @@ def tokenize(text: str, lexicon: Lexicon | None = None) -> list[str]:
     out: list[str] = []
     i = 0
     while i < len(words):
-        if i + 1 < len(words) and f"{words[i]}-{words[i + 1]}" in lex:
+        if (words[i] in lex._join_heads and i + 1 < len(words)
+                and f"{words[i]}-{words[i + 1]}" in lex):
             out.append(f"{words[i]}-{words[i + 1]}")
             i += 2
         else:
             out.append(words[i])
             i += 1
-    return out
+    return tuple(map(sys.intern, out))
 
 
-@dataclass
+@dataclass(frozen=True, slots=True)
 class NounPhrase:
     lemma: str
     is_bare_plural: bool = False
@@ -280,14 +304,14 @@ class NounPhrase:
     mass: bool = False
 
 
-@dataclass
+@dataclass(frozen=True, slots=True)
 class VerbFrame:
     lemma: str
     subject: int
     object: int | None = None
 
 
-@dataclass
+@dataclass(frozen=True, slots=True)
 class Predicate:
     subject: int
     complement: str  # color lemma or plural-noun lemma
@@ -295,16 +319,16 @@ class Predicate:
     complement_index: int | None = None
 
 
-@dataclass
+@dataclass(frozen=True, slots=True)
 class ParsedUtterance:
     tokens: tuple[str, ...]
-    noun_phrases: list[NounPhrase] = field(default_factory=list)
+    noun_phrases: tuple[NounPhrase, ...] = ()
     verb: VerbFrame | None = None
     predicate: Predicate | None = None
     is_generic: bool = False
 
 
-def _fail(tokens: list[str], i: int, message: str) -> ParseError:
+def _fail(tokens: tuple[str, ...], i: int, message: str) -> ParseError:
     return ParseError(message, tokens[i] if i < len(tokens) else None, i)
 
 
@@ -331,7 +355,7 @@ def _plural_np(token: str, lex: Lexicon, number: str | None = None) -> NounPhras
                       count=NUMBER_VALUES.get(number), novel=novel)
 
 
-def _det_np(tokens: list[str], i: int, lex: Lexicon,
+def _det_np(tokens: tuple[str, ...], i: int, lex: Lexicon,
             allow_color: bool) -> tuple[NounPhrase, int]:
     """The phrase the determiner at i heads, and the index after it."""
     i += 1
@@ -357,11 +381,23 @@ def parse(tokens: list[str], lexicon: Lexicon | None = None) -> ParsedUtterance:
     N-pl are N-pl | N-pl V (N-mass | N-pl) | PROPN/DET N V (DET N | N-mass)
 
     Unknown nouns are admitted only in bare-plural positions (strip-s rule)
-    and flagged novel. One walk reads the subject, then the tail its kind
-    allows: a number phrase takes none, a determiner phrase an optional
-    verb, a proper noun a verb, a bare plural a verb or `are`.
+    and flagged novel. The result is frozen and memoized per lexicon: a
+    second parse of the same tokens returns the same object.
     """
     lex = lexicon or default_lexicon()
+    key = tuple(tokens)
+    parsed = lex._parses.get(key)
+    if parsed is None:
+        parsed = lex._parses[key] = _parse(key, lex)
+    return parsed
+
+
+def _parse(tokens: tuple[str, ...], lex: Lexicon) -> ParsedUtterance:
+    """One walk: the subject, then the tail its kind allows.
+
+    A number phrase takes no tail, a determiner phrase an optional verb, a
+    proper noun a verb, a bare plural a verb or `are`.
+    """
     n = len(tokens)
     if not n:
         raise ParseError("empty utterance", None, 0)
@@ -407,8 +443,8 @@ def parse(tokens: list[str], lexicon: Lexicon | None = None) -> ParsedUtterance:
                                       complement_index=1)
             i += 1
         elif pos == VERB:
-            verb = VerbFrame(e.lemma, subject=0)
             i += 1
+            verb = VerbFrame(e.lemma, 0, 1 if i < n else None)
             if i < n:
                 o = lex.get(tokens[i])
                 if o is not None and o.pos == DETERMINER and not bare:
@@ -421,14 +457,13 @@ def parse(tokens: list[str], lexicon: Lexicon | None = None) -> ParsedUtterance:
                                     if bare else "expected an object noun phrase")
                     i += 1
                 nps.append(obj)
-                verb.object = 1
         else:
             raise _fail(tokens, i, tail_error)
 
     if i != n:
         raise _fail(tokens, i, "unexpected trailing token")
     generic = bare and all(np.is_bare_plural for np in nps)
-    return ParsedUtterance(tuple(tokens), nps, verb, predicate, generic)
+    return ParsedUtterance(tokens, tuple(nps), verb, predicate, generic)
 
 
 def parse_text(text: str, lexicon: Lexicon | None = None) -> ParsedUtterance:

@@ -81,10 +81,12 @@ def cosine_similarity(u, v) -> float:
     """dot(u, v) / (|u| |v|); 0.0 when either vector has zero norm.
 
     The denominator is computed as sqrt(dot(u,u) * dot(v,v)) so identical
-    vectors score exactly 1.0.
+    vectors score exactly 1.0. Both are read C-contiguous (a contiguous
+    float64 input is not copied), so a strided or Fortran-ordered row goes
+    through the same BLAS kernel, and gives the same bits, as its copy.
     """
-    u = np.asarray(u, dtype=np.float64)
-    v = np.asarray(v, dtype=np.float64)
+    u = np.ascontiguousarray(u, dtype=np.float64)
+    v = np.ascontiguousarray(v, dtype=np.float64)
     if u.shape != v.shape:
         raise ValueError(f"dimension mismatch: {u.shape} vs {v.shape}")
     uu = float(np.dot(u, u))

@@ -151,7 +151,7 @@ def parse(tokens: list[str], lexicon: Lexicon | None = None) -> ParsedUtterance:
             if i < len(tokens):
                 obj, i = object_np(i)
                 nps.append(obj)
-                verb.object = 1
+                verb = VerbFrame(verb.lemma, 0, 1)
             end_or_die(i)
 
     elif first is not None and first.pos == PROPER_NOUN:
@@ -166,7 +166,7 @@ def parse(tokens: list[str], lexicon: Lexicon | None = None) -> ParsedUtterance:
         if i < len(tokens):
             obj, i = object_np(i)
             nps.append(obj)
-            verb.object = 1
+            verb = VerbFrame(verb.lemma, 0, 1)
         end_or_die(i)
 
     elif first is not None and first.pos == NUMBER_WORD:
@@ -219,11 +219,11 @@ def parse(tokens: list[str], lexicon: Lexicon | None = None) -> ParsedUtterance:
                             raise fail(i, "expected a mass noun or plural noun object")
                         olemma, onovel = opl
                         nps.append(NounPhrase(olemma, is_bare_plural=True, novel=onovel))
-                    verb.object = 1
+                    verb = VerbFrame(verb.lemma, 0, 1)
                     i += 1
                 end_or_die(i)
             else:
                 raise fail(1, "expected 'are' or a verb after the bare plural")
 
     generic = bool(nps) and all(np.is_bare_plural for np in nps)
-    return ParsedUtterance(tuple(tokens), nps, verb, predicate, generic)
+    return ParsedUtterance(tuple(tokens), tuple(nps), verb, predicate, generic)

@@ -23,6 +23,12 @@ def test_tokenize_basic():
 def test_tokenize_joins_multiword_colors():
     assert tokenize("cookies are light brown") == ["cookies", "are", "light-brown"]
     assert tokenize("a dark brown paper") == ["a", "dark-brown", "paper"]
+    # a join may end at any hyphen of a longer surface, never inside a word
+    lex = Lexicon.from_text(default_lexicon().to_text()
+                            + "word sky-blue-ish color-adjective lemma=sky-blue-ish\n")
+    assert tokenize("sky-blue ish", lex) == ["sky-blue-ish"]
+    assert tokenize("sky blue ish", lex) == ["sky", "blue", "ish"]
+    assert tokenize("sky bluei sh", lex) == ["sky", "bluei", "sh"]
 
 
 def test_parse_bare_plural_verb_is_generic():

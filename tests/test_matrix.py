@@ -178,6 +178,20 @@ def test_cosine_scale_invariance(u, alpha):
         cosine_similarity(u, v), abs=1e-12)
 
 
+def test_cosine_reads_strided_rows_as_their_contiguous_copies():
+    # BLAS sums a strided dot product in another order than a contiguous one
+    rng = np.random.default_rng(40)
+    w = rng.random((40, 30))
+    w[rng.random((40, 30)) < 0.6] = 0.0
+    for strided in (np.asfortranarray(w), w[:, ::2]):
+        contiguous = np.ascontiguousarray(strided)
+        for i in range(len(w)):
+            for j in range(len(w)):
+                if i != j:
+                    assert (cosine_similarity(strided[i], strided[j])
+                            == cosine_similarity(contiguous[i], contiguous[j]))
+
+
 def test_category_vector_linearity():
     # adding a member equal to the category vector leaves the vector unchanged
     net = ConceptNetwork()
