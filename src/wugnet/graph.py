@@ -10,11 +10,16 @@ add_concept; the two make every node and edge check, and the file loader
 adds only the checks of its own syntax. write also keeps a category ->
 members index, so members_of costs O(members) rather than a scan of
 every edge. member_average owns the float summation order of feature
-inheritance: each mean is a left fold from 0.0 over the members' weights
+inheritance: each mean is a left fold from +0.0 over the members' weights
 in members_of order, divided by the member count. Keeping that order
-fixed is what keeps saved network files byte-identical. So the fold is
-never the builtin sum() (compensated for floats since CPython 3.12),
-math.fsum, or a numpy reduction (pairwise).
+fixed is what keeps saved network files byte-identical.
+
+So the fold is a Python loop, or, for a large category, np.add.accumulate
+down the rows of its weight block: accumulate is defined as
+r[i] = r[i-1] + a[i], the same adds in the same order. Never the builtin
+sum() (compensated for floats since CPython 3.12), math.fsum, or np.sum /
+np.add.reduce, which add a contiguous axis pairwise and so round
+differently.
 """
 
 from __future__ import annotations
@@ -22,10 +27,10 @@ from __future__ import annotations
 import re
 from bisect import bisect_left, insort
 from dataclasses import dataclass
-from functools import reduce
-from operator import add
 from pathlib import Path
 from typing import NamedTuple
+
+import numpy as np
 
 from .errors import FormatError
 
@@ -42,14 +47,16 @@ LABELS = (SLOT1, SLOT2, IS)
 
 LEARNING_RATE = 0.2
 
-# member_average keeps a category's member weights as columns (a _Fold)
+# member_average keeps a category's member weights in a block (a _Fold)
 # once it has this many members, and loops over the members' out-edges
-# below it. Measured per call with one new member since the last one
-# (members: plain loop vs fold): 4: 13.6 vs 17.8 us; 8: 20 vs 14 us;
-# 32: 87 vs 36 us; 128: 278 vs 81 us. The paper's categories have 3-7
-# members and are averaged a few times each; folding them slowed the
-# paper's novel generics by 4-15%. The scaled novel-members categories
-# have 336-1007 members.
+# below it. Measured per call with one new member (5 edges) since the
+# last one, median of 150 calls on a 2-core Xeon, Python 3.11.7, numpy
+# 2.4.6 (members: plain loop vs fold): 8: 10.2 vs 18.2 us; 16: 15.3 vs
+# 19.0 us; 24: 21.1 vs 19.8 us; 32: 26.8 vs 20.3 us; 128: 93 vs 24 us;
+# 1000: 713 vs 63 us. The fold's numpy calls cost about 18 us a call
+# whatever the size, so the crossover sits near 20 members. The paper's
+# categories have 3-7 members and are averaged a few times each; the
+# scaled novel-members categories have 336-673 members.
 FOLD_MIN_MEMBERS = 32
 
 _NAME_RE = re.compile(r"[a-z][a-z-]*")
@@ -108,19 +115,33 @@ def _member_order(node: Concept) -> tuple[str, str]:
 
 
 class _Fold:
-    """One category's member weights, one column per (target, label).
+    """One category's member weights as a float64 block, one column per (target, label).
 
-    rows are members in members_of order; columns[key][i] is rows[i]'s
-    weight on that edge, 0.0 without one. dirty holds the members written
-    since their rows were last read from the graph, new members included.
+    rows are members in members_of order; columns maps each (target,
+    label) to its column index. block[1 + i, j] is rows[i]'s weight on
+    column j's edge, 0.0 without one. Row 0 is all +0.0: it is the fold's
+    start value, so a column of members' -0.0 still totals +0.0, as the
+    Python fold from 0.0 does. dirty holds the members written since their
+    rows were last read from the graph, new members included.
     """
 
-    __slots__ = ("rows", "columns", "dirty")
+    __slots__ = ("rows", "columns", "block", "dirty")
 
     def __init__(self, members: list[Concept]):
         self.rows: list[Concept] = []
-        self.columns: dict[tuple[Concept, str], list[float]] = {}
+        self.columns: dict[tuple[Concept, str], int] = {}
+        self.block = np.zeros((1, 0))
         self.dirty: set[Concept] = set(members)
+
+
+def _fold_totals(block: np.ndarray) -> list[float]:
+    """Each column's total, a left fold down the rows: ((b[0] + b[1]) + b[2]) + ...
+
+    np.add.accumulate is defined as r[i] = r[i-1] + a[i], so its last row
+    holds the same sequence of IEEE adds as functools.reduce(add, column).
+    np.sum and np.add.reduce would add the rows pairwise and round differently.
+    """
+    return np.add.accumulate(block, axis=0)[-1].tolist()
 
 
 class ConceptNetwork:
@@ -130,7 +151,8 @@ class ConceptNetwork:
     _out maps each node to its out-edges keyed by (target, label), the
     only edge store. add_concept validates every node and write every
     edge; observe_association, assert_generic, set_strength and the file
-    loader all go through them.
+    loader all go through them. copy() alone does not: it copies edges
+    and member lists that have already passed them.
     When it creates an `is` edge into a category it inserts the source
     into that category's member list, kept sorted by (name, kind), so
     members_of is a copy of that list: O(members), not O(edges).
@@ -252,7 +274,7 @@ class ConceptNetwork:
 
     def set_strength(self, src: Concept, dst: Concept, label: str, weight: float,
                      generic: bool = False) -> None:
-        """Write an edge weight directly (used when copying)."""
+        """Write an edge weight and generic flag directly."""
         self.write(src, dst, label, weight, generic)
 
     def get_strength(self, src: Concept, dst: Concept, label: str) -> float:
@@ -286,12 +308,15 @@ class ConceptNetwork:
         members_of order. That summation order is a contract: it makes
         the means, and the network files holding inherited features,
         bit-identical from one version to the next. Never sum with the
-        builtin sum(), math.fsum or numpy, which add in another way.
+        builtin sum(), math.fsum, np.sum or np.add.reduce, which add in
+        another order.
 
-        From FOLD_MIN_MEMBERS members on, the weights come from the
-        category's _Fold, where a member without the edge holds 0.0. That
-        is the same fold: the total starts at +0.0, so it is never -0.0,
-        and adding 0.0 to it leaves every bit as it was.
+        Below FOLD_MIN_MEMBERS members a loop over the members' out-edges
+        adds them up. From then on the weights come from the category's
+        _Fold block, and _fold_totals adds each column down its rows with
+        np.add.accumulate, the same left fold. A member without the edge
+        holds 0.0 there: the block's +0.0 start row keeps every total from
+        being -0.0, and adding 0.0 to it leaves every bit as it was.
         """
         members = self._member_list(category)
         n = len(members)
@@ -300,9 +325,9 @@ class ConceptNetwork:
             fold = self._folds[category] = _Fold(members)
         if fold is not None:
             self._read_rows(fold)
-            columns = fold.columns
-            return [(target, label, reduce(add, columns[(target, label)], 0.0) / n)
-                    for target, label in sorted(columns)]
+            totals = _fold_totals(fold.block)
+            return [(target, label, totals[j] / n)
+                    for (target, label), j in sorted(fold.columns.items())]
         totals: dict[tuple[Concept, str], float] = {}
         for member in members:
             for key, e in self._out[member].items():
@@ -312,33 +337,48 @@ class ConceptNetwork:
     def _read_rows(self, fold: _Fold) -> None:
         """Bring the fold's dirty rows up to date from the members' out-edges.
 
-        A member not yet in the fold gets a row of 0.0 at its members_of
-        position, and a (target, label) new to the fold a column of 0.0.
-        Edges are never removed, so reading a member's edges sets its row.
+        Members not yet in the fold get rows of 0.0 at their members_of
+        positions, after the start row, in one np.insert; (target, label)
+        keys new to the fold get columns of 0.0 at the right, in one
+        np.hstack. Edges are never removed, so writing a member's weights
+        into its row sets it.
         """
         rows, columns = fold.rows, fold.columns
-        for member in sorted(fold.dirty, key=_member_order):
-            i = bisect_left(rows, _member_order(member), key=_member_order)
-            if i == len(rows) or rows[i] != member:
-                rows.insert(i, member)
-                for column in columns.values():
-                    column.insert(i, 0.0)
+        dirty = sorted(fold.dirty, key=_member_order)
+        at = [bisect_left(rows, _member_order(member), key=_member_order) for member in dirty]
+        joining = [(i, member) for i, member in zip(at, dirty) if i == len(rows) or rows[i] != member]
+        new = [key for key in dict.fromkeys(key for member in dirty for key in self._out[member])
+               if key not in columns]
+        block = fold.block
+        if joining:
+            block = np.insert(block, [1 + i for i, _ in joining], 0.0, axis=0)
+            for shift, (i, member) in enumerate(joining):
+                rows.insert(i + shift, member)
+        if new:
+            block = np.hstack((block, np.zeros((len(block), len(new)))))
+            for key in new:
+                columns[key] = len(columns)
+        for member in dirty:
+            row = block[1 + bisect_left(rows, _member_order(member), key=_member_order)]
             for key, e in self._out[member].items():
-                column = columns.get(key)
-                if column is None:
-                    column = columns[key] = [0.0] * len(rows)
-                column[i] = e.weight
+                row[columns[key]] = e.weight
+        fold.block = block
         fold.dirty.clear()
 
     # -- whole-network helpers ------------------------------------------
 
     def copy(self) -> "ConceptNetwork":
+        """An independent network: new Edge objects and member lists, no folds.
+
+        Concepts are immutable and shared. A copy starts without folds;
+        member_average builds them again when it needs them.
+        """
         out = ConceptNetwork()
-        for node in self._nodes.values():
-            out.add_concept(node.name, node.kind)
-        for edges in self._out.values():
-            for e in edges.values():
-                out.set_strength(e.source, e.target, e.label, e.weight, e.generic_origin)
+        out._nodes = dict(self._nodes)
+        out._out = {src: {key: Edge(e.source, e.target, e.label, e.weight, e.generic_origin)
+                          for key, e in edges.items()}
+                    for src, edges in self._out.items()}
+        out._members = {category: list(members) for category, members in self._members.items()}
         return out
 
     def __eq__(self, other: object) -> bool:

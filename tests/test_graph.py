@@ -2,11 +2,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from inheritance_oracle import members_scan
+from inheritance_oracle import member_average_reaveraged, members_scan
 from wugnet.graph import (
     ACTION,
     ATTRIBUTE,
     CATEGORY,
+    FOLD_MIN_MEMBERS,
     IS,
     OBJECT,
     SLOT1,
@@ -269,6 +270,34 @@ def test_comments_and_blank_lines_ignored():
     text = "# saved network\nconceptnet v1\n\nnode object dog\n# trailing\n"
     net = network_from_text(text)
     assert net.get("dog", OBJECT) is not None
+
+
+def test_copy_is_equal_and_independent(net):
+    herd, pair = net.add_concept("herd", CATEGORY), net.add_concept("pair", CATEGORY)
+    red, hop = net.add_concept("red", ATTRIBUTE), net.add_concept("hop", ACTION)
+    members = [net.add_concept(f"m-{chr(97 + i // 26)}{chr(97 + i % 26)}", OBJECT) for i in range(FOLD_MIN_MEMBERS + 1)]
+    for i, member in enumerate(members):
+        net.assert_generic(member, herd, IS)
+        net.set_strength(member, red, IS, (i % 7) / 7)
+    net.assert_generic(members[0], pair, IS)
+    net.observe_association(members[0], hop, SLOT1)
+    net.member_average(herd)  # the original keeps a fold; the copy starts without one
+    text = network_to_text(net)
+
+    other = net.copy()
+    assert other == net and network_to_text(other) == text
+    assert other.members_of(herd) == members
+    other.observe_association(members[1], red, IS)
+    other.assert_generic(other.add_concept("newt", OBJECT), pair, IS)
+    assert network_to_text(net) == text
+    assert net.members_of(pair) == [members[0]]
+
+    net.set_strength(members[2], hop, SLOT2, 0.5)
+    assert other.get_strength(members[2], hop, SLOT2) == 0.0
+    assert other != net
+    for network in (net, other):
+        for category in (herd, pair):
+            assert network.member_average(category) == member_average_reaveraged(network, category)
 
 
 def test_diff_networks_reports_weight_changes(net):

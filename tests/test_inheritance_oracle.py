@@ -6,10 +6,13 @@ network files.
 
 import importlib.util
 import random
+from functools import reduce
 from itertools import product
+from operator import add
 from pathlib import Path
 
-from hypothesis import given, settings
+import numpy as np
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from inheritance_oracle import inherit_novel_member, member_average_reaveraged, members_scan
@@ -23,6 +26,7 @@ from wugnet.graph import (
     SLOT1,
     SLOT2,
     ConceptNetwork,
+    _fold_totals,
     network_from_text,
     network_to_text,
 )
@@ -194,3 +198,50 @@ def test_scaled_novel_members_match_the_oracle_network():
         observe(net, instance, lexicon)
         observe(oracle, instance, lexicon)
         assert network_to_text(net) == network_to_text(oracle)
+
+
+def test_member_averages_match_the_oracle_at_benchmark_scale():
+    # 3000 nouns put more than 1000 members in each category
+    lexicon, curriculum, generics = _synth().novel_members_inputs(0, 3000, 60)
+    net = ConceptNetwork()
+    learn_curriculum(net, curriculum, lexicon)
+    categories = [c for c in net.concepts() if c.kind == CATEGORY]
+    assert min(len(net.members_of(c)) for c in categories) > 1000
+    for instance in generics:
+        observe(net, instance, lexicon)
+        for category in categories:
+            fast, slow = net.member_average(category), member_average_reaveraged(net, category)
+            assert fast == slow
+            assert repr(fast) == repr(slow)
+
+
+# Weights whose sums round differently when added in another order or
+# from another start: the sign of zero, the smallest and largest
+# subnormals, a value with no exact binary form, the float just below 1,
+# and 1.
+EDGE_WEIGHTS = (-0.0, 5e-324, 2.225073858507201e-308, 0.1, 1.0 - 2.0 ** -53, 1.0)
+
+
+@settings(max_examples=60, deadline=None)
+@given(rows=st.integers(1, 3000), cols=st.integers(1, 20), seed=st.integers(0, 2 ** 32 - 1),
+       cells=st.lists(st.tuples(st.integers(0, 2 ** 31), st.integers(0, 2 ** 31),
+                                st.sampled_from(EDGE_WEIGHTS)), max_size=200),
+       filled=st.lists(st.tuples(st.integers(0, 2 ** 31), st.sampled_from(EDGE_WEIGHTS)),
+                       max_size=3))
+@example(rows=3000, cols=1, seed=0, cells=[], filled=[(0, 0.1)])
+@example(rows=1, cols=1, seed=0, cells=[], filled=[(0, -0.0)])
+def test_fold_totals_are_the_left_fold_of_each_column(rows, cols, seed, cells, filled):
+    # The numpy contract member_average rests on: np.add.accumulate adds
+    # down the rows in order. A numpy whose accumulate adds in another
+    # order (pairwise, say, as np.sum does) fails here.
+    weights = np.random.default_rng(seed).random((rows, cols))
+    for row, col, weight in cells:
+        weights[row % rows, col % cols] = weight
+    for col, weight in filled:
+        weights[:, col % cols] = weight
+    block = np.vstack((np.zeros((1, cols)), weights))
+    totals = _fold_totals(block)
+    assert len(totals) == cols
+    for total, column in zip(totals, weights.T.tolist()):
+        assert type(total) is float
+        assert total.hex() == reduce(add, column, 0.0).hex()
