@@ -261,9 +261,8 @@ def matrix_to_csv(matrix: ConceptMatrix) -> str:
     """Comma-separated export: column keys in the header, 6 significant digits."""
     header = ",".join(["concept"] + [col.key for col in matrix.columns])
     lines = [header]
-    for i, concept in enumerate(matrix.concepts):
-        cells = [f"{v:.6g}" for v in matrix.weights[i]]
-        lines.append(",".join([concept.name] + cells))
+    for concept, row in zip(matrix.concepts, matrix.weights.tolist()):
+        lines.append(",".join([concept.name] + [f"{v:.6g}" for v in row]))
     return "\n".join(lines) + "\n"
 
 

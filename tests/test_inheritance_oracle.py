@@ -26,7 +26,7 @@ from wugnet.graph import (
     SLOT1,
     SLOT2,
     ConceptNetwork,
-    _fold_totals,
+    _refold,
     network_from_text,
     network_to_text,
 )
@@ -222,26 +222,101 @@ def test_member_averages_match_the_oracle_at_benchmark_scale():
 EDGE_WEIGHTS = (-0.0, 5e-324, 2.225073858507201e-308, 0.1, 1.0 - 2.0 ** -53, 1.0)
 
 
+# A block of weights: a +0.0 start row over rows x cols draws from [0, 1),
+# with EDGE_WEIGHTS put in single cells and in whole columns.
+BLOCKS = dict(rows=st.integers(1, 3000), cols=st.integers(1, 20),
+              seed=st.integers(0, 2 ** 32 - 1),
+              cells=st.lists(st.tuples(st.integers(0, 2 ** 31), st.integers(0, 2 ** 31),
+                                       st.sampled_from(EDGE_WEIGHTS)), max_size=200),
+              filled=st.lists(st.tuples(st.integers(0, 2 ** 31), st.sampled_from(EDGE_WEIGHTS)),
+                              max_size=3))
+
+
+def _edge_block(rows, cols, seed, cells, filled) -> np.ndarray:
+    weights = np.random.default_rng(seed).random((rows, cols))
+    for row, col, weight in cells:
+        weights[row % rows, col % cols] = weight
+    for col, weight in filled:
+        weights[:, col % cols] = weight
+    return np.vstack((np.zeros((1, cols)), weights))
+
+
+def _assert_left_folds(totals: list[float], block: np.ndarray) -> None:
+    assert len(totals) == block.shape[1]
+    for total, column in zip(totals, block[1:].T.tolist()):
+        assert type(total) is float
+        assert total.hex() == reduce(add, column, 0.0).hex()
+
+
 @settings(max_examples=60, deadline=None)
-@given(rows=st.integers(1, 3000), cols=st.integers(1, 20), seed=st.integers(0, 2 ** 32 - 1),
-       cells=st.lists(st.tuples(st.integers(0, 2 ** 31), st.integers(0, 2 ** 31),
-                                st.sampled_from(EDGE_WEIGHTS)), max_size=200),
-       filled=st.lists(st.tuples(st.integers(0, 2 ** 31), st.sampled_from(EDGE_WEIGHTS)),
-                       max_size=3))
+@given(**BLOCKS)
 @example(rows=3000, cols=1, seed=0, cells=[], filled=[(0, 0.1)])
 @example(rows=1, cols=1, seed=0, cells=[], filled=[(0, -0.0)])
 def test_fold_totals_are_the_left_fold_of_each_column(rows, cols, seed, cells, filled):
     # The numpy contract member_average rests on: np.add.accumulate adds
     # down the rows in order. A numpy whose accumulate adds in another
     # order (pairwise, say, as np.sum does) fails here.
-    weights = np.random.default_rng(seed).random((rows, cols))
-    for row, col, weight in cells:
-        weights[row % rows, col % cols] = weight
-    for col, weight in filled:
-        weights[:, col % cols] = weight
-    block = np.vstack((np.zeros((1, cols)), weights))
-    totals = _fold_totals(block)
-    assert len(totals) == cols
-    for total, column in zip(totals, weights.T.tolist()):
-        assert type(total) is float
-        assert total.hex() == reduce(add, column, 0.0).hex()
+    block = _edge_block(rows, cols, seed, cells, filled)
+    prefix = np.zeros_like(block)
+    _refold(block, prefix, 1, len(block))
+    _assert_left_folds(prefix[-1].tolist(), block)
+
+
+@settings(max_examples=60, deadline=None)
+@given(**BLOCKS, split=st.integers(0, 2 ** 31))
+@example(rows=3000, cols=1, seed=0, cells=[], filled=[(0, 0.1)], split=1499)
+@example(rows=2, cols=1, seed=0, cells=[(0, 0, -0.0)], filled=[(0, -0.0)], split=1)
+def test_refolding_from_any_row_continues_the_left_fold(rows, cols, seed, cells, filled, split):
+    # member_average re-folds only the rows from the first one written,
+    # starting from the kept total of the row above it. Rows from there on
+    # change first (reversed here, as a join moves them), and the totals
+    # past them are garbage until the re-fold.
+    block = _edge_block(rows, cols, seed, cells, filled)
+    prefix = np.zeros_like(block)
+    _refold(block, prefix, 1, len(block))
+    start = 1 + split % rows
+    block[start:] = block[start:][::-1].copy()
+    prefix[start:] = np.nan
+    _refold(block, prefix, start, len(block))
+    _assert_left_folds(prefix[-1].tolist(), block)
+
+
+def test_fold_rows_follow_joins_new_columns_and_later_writes():
+    rng = random.Random(1)
+    net = _fold_network()
+    herd = net.require("herd", CATEGORY)
+    red, hop = net.require("red", ATTRIBUTE), net.require("hop", ACTION)
+
+    def join(*names):
+        for name in names:
+            member = net.add_concept(name, OBJECT)
+            net.assert_generic(member, herd, IS)
+            net.set_strength(member, red, IS, rng.random())
+            net.set_strength(member, hop, SLOT1, rng.random())
+
+    assert len(net.members_of(herd)) >= FOLD_MIN_MEMBERS
+    _assert_averages_match(net)
+    # one join at a time: the first, a middle and the last name position
+    for name in ("aa", FOLD_NAMES[16] + "a", "zz"):
+        join(name)
+        _assert_averages_match(net)
+    # several joins before one read, two of them into the same gap
+    join("ab", FOLD_NAMES[5] + "e", FOLD_NAMES[20] + "a", FOLD_NAMES[20] + "b", "zy")
+    _assert_averages_match(net)
+    # a key that adds a new column, written to a member and a joining member
+    teal = net.add_concept("teal", ATTRIBUTE)
+    net.set_strength(net.require(FOLD_NAMES[3], OBJECT), teal, IS, rng.random())
+    join("ac")
+    net.set_strength(net.require("ac", OBJECT), teal, IS, rng.random())
+    _assert_averages_match(net)
+    # enough joins, one average each, to outgrow the rows the first
+    # average gave the block: twice its start row and members
+    for name in FOLD_NAMES:
+        join(name + "x")
+        _assert_averages_match(net)
+    assert 1 + len(net.members_of(herd)) > 2 * (1 + len(FOLD_START["herd"]))
+    # an observe on an existing member's color edge, after an average
+    before = net.member_average(herd)
+    net.observe_association(net.require(FOLD_NAMES[7], OBJECT), red, IS)
+    assert net.member_average(herd) != before
+    _assert_averages_match(net)

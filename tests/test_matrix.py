@@ -9,6 +9,8 @@ from hypothesis import strategies as st
 from wugnet.graph import ATTRIBUTE, CATEGORY, IS, OBJECT, SLOT1, SLOT2, Concept, ConceptNetwork
 from wugnet.matrix import (
     ClusterNode,
+    ConceptMatrix,
+    ExpandedColumn,
     agglomerative_order,
     build_matrix,
     category_vector,
@@ -332,3 +334,24 @@ def test_matrix_csv_layout():
     lines = csv.splitlines()
     assert lines[0] == "concept,drink⊕slot-1"
     assert "mom,0.2" in lines
+
+
+CSV_CELLS = (0.0, -0.0, 5e-324, 2.225073858507201e-308, 1.0 - 2.0 ** -53, 1.0,
+             math.nan, math.inf, -math.inf, 1e-7, 123456789.0)
+
+
+@settings(max_examples=100, deadline=None)
+@given(rows=st.integers(0, 6), cols=st.integers(0, 6),
+       cells=st.lists(st.one_of(st.sampled_from(CSV_CELLS), st.floats()), max_size=36))
+def test_matrix_csv_formats_each_cell_as_the_numpy_scalar_did(rows, cols, cells):
+    # matrix_to_csv formats Python floats from tolist(); the format of each
+    # np.float64 it used to read cell by cell is the reference.
+    weights = np.zeros((rows, cols))
+    for k, cell in enumerate(cells[:rows * cols]):
+        weights.flat[k] = cell
+    concepts = tuple(Concept(OBJECT, f"c{'a' * i}") for i in range(rows))
+    actions = tuple(ExpandedColumn(Concept("action", f"v{'a' * j}"), SLOT1) for j in range(cols))
+    m = ConceptMatrix(concepts, actions, weights)
+    lines = [",".join(["concept"] + [col.key for col in actions])]
+    lines += [",".join([c.name] + [f"{v:.6g}" for v in weights[i]]) for i, c in enumerate(concepts)]
+    assert matrix_to_csv(m) == "\n".join(lines) + "\n"

@@ -2,7 +2,9 @@
 
 Saving must give byte-identical text for any network. Loading must give an
 equal network for any file, or the same NetworkFormatError, with the same
-message and line, for any file either loader rejects.
+message and line, for any file either loader rejects. The one exception is
+a second line for an edge an earlier line already gave: the old loader let
+it overwrite the first, and the new one rejects it at that line.
 """
 
 import pytest
@@ -147,11 +149,30 @@ def _load(loader, text):
         return "rejected", (str(err), err.line)
 
 
+def _first_repeated_edge(text):
+    """(line, edge) of the first edge line naming the source, label and target of an earlier one."""
+    seen = set()
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        fields = raw.split()
+        if len(fields) == 6 and fields[0] == "edge":
+            edge = " ".join(fields[1:4])
+            if edge in seen:
+                return lineno, edge
+            seen.add(edge)
+    return None
+
+
 @settings(max_examples=400, deadline=None)
 @given(mutated_files())
 def test_mutated_files_load_or_fail_the_same_under_both_loaders(text):
     new_kind, new = _load(network_from_text, text)
     old_kind, was = _load(old.network_from_text, text)
+    repeat = _first_repeated_edge(text)
+    if repeat is not None and (old_kind == "loaded" or was[1] > repeat[0]):
+        # every line before the repeat loads, so the repeat's edge exists
+        lineno, edge = repeat
+        assert (new_kind, new) == ("rejected", (f"line {lineno}: duplicate edge {edge}", lineno))
+        return
     assert new_kind == old_kind
     if new_kind == "loaded":
         assert new == was
@@ -195,6 +216,9 @@ edge object/hen is category/animal -0 generic:0
     ("node object hen", "object hen"),
     ("node object hen", "# node object hen\n\n  \n\tnode\tobject   hen"),
     ("node object hen", "node object hen\n# edge object/hen is attribute/red 1 generic:0"),
+    # a repeated edge line that breaks an edge rule fails on that rule, as before
+    ("-0 generic:0", "-0 generic:0\nedge object/hen is category/animal 0.5 generic:1"),
+    ("-0 generic:0", "-0 generic:0\nedge object/hen is category/animal 1.5 generic:0"),
     ("conceptnet v1\n", ""),
     ("conceptnet v1", "conceptnet v2"),
     ("conceptnet v1", "# header below\n\nconceptnet v1"),
@@ -203,3 +227,14 @@ def test_each_listed_mutation_loads_or_fails_the_same(old_line, new_line):
     text = BASE.replace(old_line, new_line, 1)
     assert text != BASE
     assert _load(network_from_text, text) == _load(old.network_from_text, text)
+
+
+def test_a_repeated_edge_is_rejected_at_its_second_line():
+    text = BASE + "edge object/dog is attribute/red 1 generic:1\n"
+    kind, was = _load(old.network_from_text, text)
+    assert kind == "loaded"  # the old loader kept the second line's weight
+    assert "edge object/dog is attribute/red 1 generic:1" in old.network_to_text(was)
+    with pytest.raises(NetworkFormatError) as err:
+        network_from_text(text)
+    assert err.value.line == 9
+    assert str(err.value) == "line 9: duplicate edge object/dog is attribute/red"
