@@ -27,14 +27,24 @@ class ExpandedColumn:
 
 
 class ConceptMatrix:
-    """Immutable dense snapshot of the network's edge weights."""
+    """Immutable dense snapshot of the network's edge weights.
+
+    `weights` is a read-only view of the array passed in, so no reader can
+    change a row under the category vectors the snapshot keeps:
+    `_category_vectors` maps a category to the member sequence its vector
+    was last computed from and that vector (see category_vector). The
+    caller's own array stays writable; build_matrix keeps no reference to
+    it, and a caller that passes its own must not write to it afterwards.
+    """
 
     def __init__(self, concepts: tuple[Concept, ...], columns: tuple[ExpandedColumn, ...],
                  weights: np.ndarray):
         self.concepts = concepts
         self.columns = columns
-        self.weights = weights
+        self.weights = weights.view()
+        self.weights.flags.writeable = False
         self._row_index = {c: i for i, c in enumerate(concepts)}
+        self._category_vectors: dict[Concept, tuple[tuple[Concept, ...], np.ndarray]] = {}
 
     @property
     def shape(self) -> tuple[int, int]:
@@ -70,11 +80,29 @@ def concept_vector(matrix: ConceptMatrix, concept: Concept) -> np.ndarray:
 
 def category_vector(matrix: ConceptMatrix, category: Concept,
                     members: list[Concept]) -> np.ndarray:
-    """Mean of the member rows; a category with no members has no vector."""
+    """Mean of the member rows, as a new array; a category with no members has no vector.
+
+    The matrix keeps the last vector it computed for each category, with
+    the members it came from. A call whose members equal that sequence,
+    the same concepts in the same order (the order fixes the summation
+    order), gets a copy of the kept vector: the same rows of the same
+    read-only weights give the same mean, bit for bit. Any other sequence
+    is computed afresh and replaces the kept one; a call that raises keeps
+    nothing.
+    """
+    members = tuple(members)
     if not members:
         raise ValueError(f"category {category.key} has no members")
-    rows = [matrix.row_of(m) for m in members]
-    return matrix.weights[rows].mean(axis=0)
+    kept = matrix._category_vectors.get(category)
+    if kept is not None and kept[0] == members:
+        return kept[1].copy()
+    try:
+        rows = list(map(matrix._row_index.__getitem__, members))
+    except KeyError:
+        rows = [matrix.row_of(m) for m in members]  # raises naming the unknown concept
+    vec = matrix.weights[rows].mean(axis=0)
+    matrix._category_vectors[category] = (members, vec)
+    return vec.copy()
 
 
 def cosine_similarity(u, v) -> float:

@@ -3,6 +3,7 @@ import pytest
 from wugnet import cli
 from wugnet.cli import main
 from wugnet.graph import CATEGORY, OBJECT, load_network
+from wugnet.matrix import build_matrix, category_vector, concept_vector, cosine_similarity
 from wugnet.tasks import TaskResult
 
 
@@ -103,6 +104,23 @@ def test_similar_self_is_one(trained, capsys):
     code, out, _ = run(capsys, "similar", "--network", str(trained), "bird", "bird")
     assert code == 0
     assert out.strip() == "1.000000"
+
+
+@pytest.mark.parametrize("a, b, printed", [("chicken", "food", "0.753644"),
+                                           ("food", "animal", "0.294626")])
+def test_similar_reads_a_category_as_its_member_mean(trained, capsys, a, b, printed):
+    net = load_network(trained)
+    m = build_matrix(net)
+
+    def vector(name):
+        category = net.get(name, CATEGORY)
+        if category is not None:
+            return category_vector(m, category, net.members_of(category))
+        return concept_vector(m, net.require(name, OBJECT))
+
+    code, out, _ = run(capsys, "similar", "--network", str(trained), a, b)
+    assert code == 0
+    assert out == f"{cosine_similarity(vector(a), vector(b)):.6f}\n" == printed + "\n"
 
 
 def test_similar_isolated_pair_is_zero(tmp_path, capsys):

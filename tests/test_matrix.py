@@ -220,6 +220,81 @@ def test_category_vector_linearity():
         assert mean2[j] == pytest.approx(value, abs=1e-12)
 
 
+# -- kept category vectors -------------------------------------------------
+
+def uncached_mean(m, members):
+    return m.weights[[m.row_of(c) for c in members]].mean(axis=0)
+
+
+def three_member_matrix():
+    a, b, c = (Concept(OBJECT, name) for name in "abc")
+    cat = Concept(CATEGORY, "things")
+    columns = tuple(ExpandedColumn(Concept(ATTRIBUTE, name), IS) for name in "xy")
+    # (0.1 + 0.2) + 0.3 and (0.3 + 0.2) + 0.1 round differently
+    weights = np.array([[0.1, 1.0], [0.2, 0.7], [0.3, 0.4]])
+    return ConceptMatrix((a, b, c), columns, weights), cat, a, b, c
+
+
+def test_repeated_category_vectors_are_the_uncached_mean():
+    from wugnet.curriculum import builtin_curriculum
+    from wugnet.learner import learn_curriculum
+
+    net = ConceptNetwork()
+    learn_curriculum(net, builtin_curriculum("obj-actions-kinds-generics"))
+    m = build_matrix(net)
+    for name in ("animal", "food", "people"):
+        cat = net.require(name, CATEGORY)
+        expected = uncached_mean(m, net.members_of(cat)).tobytes()
+        vectors = [category_vector(m, cat, net.members_of(cat)) for _ in range(3)]
+        assert [v.tobytes() for v in vectors] == [expected] * 3
+        assert not np.shares_memory(vectors[0], vectors[1])
+
+
+def test_each_member_sequence_gets_its_own_mean():
+    m, cat, a, b, c = three_member_matrix()
+    assert uncached_mean(m, [a, b, c]).tobytes() != uncached_mean(m, [c, b, a]).tobytes()
+    for members in ([a], [a, b], [b, a], [a, b], [a], [a, b, c], [c, b, a], [a, b, c],
+                    [a, b, c], (Concept(OBJECT, "a"), b, c)):
+        assert category_vector(m, cat, members).tobytes() == uncached_mean(m, members).tobytes()
+
+
+def test_editing_a_returned_category_vector_leaves_the_next_unchanged():
+    m, cat, a, b, c = three_member_matrix()
+    expected = uncached_mean(m, [a, b, c]).tobytes()
+    first = category_vector(m, cat, [a, b, c])
+    first[:] = 9.0
+    second = category_vector(m, cat, [a, b, c])
+    assert second.tobytes() == expected
+    second += 1.0
+    assert category_vector(m, cat, [a, b, c]).tobytes() == expected
+
+
+def test_matrix_weights_are_read_only():
+    net, mom, drink = single_edge_network()
+    m = build_matrix(net)
+    with pytest.raises(ValueError):
+        m.weights[0, 0] = 0.5
+    with pytest.raises(ValueError):
+        m.weights += 1.0
+    own = np.zeros((1, 1))
+    ConceptMatrix((mom,), (ExpandedColumn(drink, SLOT1),), own)
+    own[0, 0] = 0.5  # the caller's array stays writable
+    assert own[0, 0] == 0.5
+
+
+def test_category_vector_errors_keep_nothing():
+    m, cat, a, b, c = three_member_matrix()
+    expected = category_vector(m, cat, [a, b]).tobytes()
+    with pytest.raises(ValueError, match="category category/things has no members"):
+        category_vector(m, cat, [])
+    with pytest.raises(ValueError, match="unknown concept object/ghost"):
+        category_vector(m, cat, [a, Concept(OBJECT, "ghost")])
+    with pytest.raises(ValueError, match="unknown concept object/ghost"):
+        category_vector(m, Concept(CATEGORY, "other"), [Concept(OBJECT, "ghost")])
+    assert m._category_vectors.keys() == {cat}
+    assert category_vector(m, cat, [a, b]).tobytes() == expected
+
+
 # -- clustering -----------------------------------------------------------
 
 def test_identical_rows_merge_first_at_distance_zero():
