@@ -5,13 +5,16 @@ built-in generator composes phases in a fixed order (objects, colors,
 actions, plurals, category generics, action generics, color generics)
 over a configurable object inventory, shuffling within each phase from a
 seed. Membership generics are emitted with already-introduced subjects
-first so that every generated curriculum is learnable in order.
+first, and generate raises a ValueError for a spec in which a category's
+first generic has a subject no earlier instance names, so every
+curriculum it returns is learnable in order.
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from itertools import chain
 from pathlib import Path
 
 from .errors import FormatError
@@ -151,6 +154,7 @@ class _Generator:
         self.inv = set(self.inventory)
         self.common = [o for o in self.inventory if self.lex.pos_of(o) != PROPER_NOUN]
         self.count_nouns = [o for o in self.inventory if self.lex.pos_of(o) == NOUN]
+        self.instances: list[LearningInstance] = []  # the curriculum so far, in order
 
     def _inventory(self) -> list[str]:
         base = list(self.spec.objects if self.spec.objects is not None else DEFAULT_OBJECTS)
@@ -177,6 +181,14 @@ class _Generator:
         if self.lex.pos_of(lemma) == MASS_NOUN:
             return lemma
         return _indefinite(lemma)
+
+    def _named(self, lemma: str, block: list[LearningInstance]) -> bool:
+        """Whether an instance generated so far, or one in block, names lemma.
+
+        A generated scene holds just the objects its utterance names.
+        """
+        return any(e.lemma == lemma for instance in chain(self.instances, block)
+                   for e in instance.situation.entities)
 
     # -- phases ---------------------------------------------------------
 
@@ -236,6 +248,12 @@ class _Generator:
         return out
 
     def category_generics_phase(self) -> list[LearningInstance]:
+        """Each category's generics, the members the objects phase introduced first.
+
+        A category's first generic creates the category, so its subject
+        must already be a concept: a ValueError names the category when no
+        earlier instance names that subject.
+        """
         introduced = set(self.common) if "objects" in self.spec.phases else set()
         out = []
         for category, members in self.spec.categories:
@@ -244,7 +262,14 @@ class _Generator:
             unknown = [m for m in present if m not in introduced]
             self.rng.shuffle(known)
             self.rng.shuffle(unknown)
-            for member in known + unknown:
+            order = known + unknown
+            # the objects phase, which comes first, names every introduced lemma
+            if order and order[0] not in introduced and not self._named(order[0], out):
+                raise ValueError(
+                    f"category {category!r} cannot be learned: no earlier instance names "
+                    f"{order[0]!r}, the subject of its first generic "
+                    f"'{self.plural(order[0])} are {self.plural(category)}'")
+            for member in order:
                 out.append(LearningInstance(
                     Situation(entities=(_entity(0, member),)),
                     f"{self.plural(member)} are {self.plural(category)}"))
@@ -284,16 +309,15 @@ class _Generator:
         for phase in self.spec.phases:
             if phase not in PHASES:
                 raise ValueError(f"unknown curriculum phase {phase!r}")
-        instances: list[LearningInstance] = []
         for phase in PHASES:
             if phase not in self.spec.phases:
                 continue
             block = builders[phase]()
             if phase != "category-generics":
                 self.rng.shuffle(block)
-            instances.extend(block)
+            self.instances.extend(block)
         name = self.spec.name or "+".join(p for p in PHASES if p in self.spec.phases)
-        return Curriculum(name, tuple(instances))
+        return Curriculum(name, tuple(self.instances))
 
 
 def generate(spec: CurriculumSpec, lexicon: Lexicon | None = None) -> Curriculum:

@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 
 from wugnet.curriculum import (
     BUILTIN_PHASES,
+    DEFAULT_OBJECTS,
     PHASES,
     Curriculum,
     CurriculumFormatError,
@@ -135,6 +136,29 @@ def test_exclusions_remove_every_mention():
     for inst in cur.instances:
         assert "chicken" not in inst.utterance
         assert all(e.lemma != "chicken" for e in inst.situation.entities)
+
+
+@pytest.mark.parametrize("spec,category", [
+    (builtin_spec("objects-and-kinds", exclude_objects=("baby",)), "people"),
+    (CurriculumSpec(phases=("category-generics",)), "animal"),
+    (CurriculumSpec(phases=("colors", "category-generics")), "people"),
+])
+def test_a_category_whose_first_subject_no_instance_names_is_rejected(spec, category):
+    with pytest.raises(ValueError, match=f"category '{category}' cannot be learned"):
+        generate(spec)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.sets(st.sampled_from(PHASES)), st.sets(st.sampled_from(DEFAULT_OBJECTS)),
+       st.integers(0, 2**32 - 1))
+def test_every_curriculum_generate_returns_is_learnable(phases, excluded, seed):
+    spec = CurriculumSpec(phases=tuple(sorted(phases)), exclude_objects=tuple(sorted(excluded)),
+                          seed=seed)
+    try:
+        curriculum = generate(spec)
+    except ValueError:
+        return
+    learn_curriculum(ConceptNetwork(), curriculum)
 
 
 def test_unknown_inventory_lexeme_rejected():

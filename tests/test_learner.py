@@ -3,7 +3,7 @@ import json
 
 import pytest
 
-from wugnet.curriculum import Curriculum
+from wugnet.curriculum import Curriculum, builtin_curriculum
 from wugnet.graph import ATTRIBUTE, CATEGORY, IS, OBJECT, SLOT1, SLOT2, ConceptNetwork
 from wugnet.lang import ParseError
 from wugnet.learner import (
@@ -15,6 +15,7 @@ from wugnet.learner import (
     learn_curriculum,
     observe,
 )
+from wugnet.tasks import NOVEL_OBJECTS, TASK2_CURRICULA, membership_instance
 
 
 def scene(*entities, actions=()):
@@ -225,3 +226,21 @@ def test_report_serializes_to_a_json_line():
     assert record["utterance"] == "Cookies are light brown"
     assert record["generic"] is True
     assert record["edges"] == [["object/cookie", "is", "attribute/light-brown", 0.0, 1.0, True]]
+
+
+@pytest.mark.parametrize("name", TASK2_CURRICULA)
+def test_a_report_read_late_equals_one_read_at_once(name):
+    # a report's lists are built on first read; by then later instances have
+    # rewritten many of its edges, so a view of the live network would differ
+    novel = [membership_instance(n, c) for n, c in NOVEL_OBJECTS]
+
+    def learn(on_report):
+        net = ConceptNetwork()
+        learn_curriculum(net, builtin_curriculum(name, seed=0), on_report=on_report)
+        for instance in novel:
+            on_report(None, observe(net, instance))
+
+    at_once, kept = [], []
+    learn(lambda i, report: at_once.append(report.to_json_line(0)))
+    learn(lambda i, report: kept.append(report))
+    assert [report.to_json_line(0) for report in kept] == at_once
