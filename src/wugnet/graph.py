@@ -382,10 +382,14 @@ class ConceptNetwork:
         yet in the fold get rows of 0.0 at their members_of positions: one
         pass from the end moves each run of rows between two joining
         positions down, inside the block's spare rows, by the number of
-        members joining before it. (target, label) keys new to the fold get
-        columns of 0.0 at the right. Edges are never removed, so writing a
-        member's weights into its row sets it. fold.stale drops to the
-        lowest row written.
+        members joining before it. A run is copied out to the same rows of
+        prefix and back, not shifted within block, which numpy would buffer
+        through a temporary: those prefix rows are at or past the first
+        joining row, so at or past the new fold.stale, and the next _refold
+        writes them again. (target, label) keys new to the fold get columns
+        of 0.0 at the right. Edges are never removed, so writing a member's
+        weights into its row sets it. fold.stale drops to the lowest row
+        written.
         """
         if not fold.dirty:
             return
@@ -405,12 +409,13 @@ class ConceptNetwork:
             if key not in columns:
                 columns[key] = len(columns)
         fold.resize(1 + len(keys), len(columns))
-        block = fold.block
+        block, prefix = fold.block, fold.prefix
         end = len(keys) - len(joining)
         for t in range(len(joining) - 1, -1, -1):
             i = joining[t]
             if i < end:
-                block[2 + i + t:2 + end + t] = block[1 + i:1 + end]
+                prefix[1 + i:1 + end] = block[1 + i:1 + end]
+                block[2 + i + t:2 + end + t] = prefix[1 + i:1 + end]
             block[1 + i + t] = 0.0
             end = i
         for member, k in zip(dirty, rows):

@@ -58,7 +58,12 @@ class ConceptMatrix:
 
 
 def build_matrix(net: ConceptNetwork) -> ConceptMatrix:
-    """Snapshot the network; rows and columns sorted by kind, name, label."""
+    """Snapshot the network; rows and columns sorted by kind, name, label.
+
+    A (target, label) is a column when some edge to it has a positive
+    weight; then every edge to it fills its cell, zero and -0.0 weights
+    included.
+    """
     concepts = tuple(net.concepts())
     edges = net.edges()
     pairs = sorted({(e.target, e.label) for e in edges if e.weight > 0.0})
@@ -166,34 +171,49 @@ class ClusterNode:
         return "".join(parts)
 
 
+# rows of the distance array computed, or compacted, at once: the
+# temporaries hold _BLOCK_ROWS x n floats, not n x n
+_BLOCK_ROWS = 64
+
+
 def _cosine_distances(weights: np.ndarray) -> np.ndarray:
     """n x n array of 1 - cosine_similarity(row i, row j), bit for bit.
 
-    All pair dot products come from one stacked matmul whose batch elements
-    are (1 x k) @ (k x 1) products of C-contiguous float64 rows: numpy hands
+    All dot products come from stacked matmuls whose batch elements are
+    (1 x k) @ (k x 1) products of C-contiguous float64 rows: numpy hands
     each of them to the same BLAS ddot that u.dot(v) calls in
     cosine_similarity, with no Python call per pair. A Gram product W @ W.T,
     a per-row gemv (w[i] @ w[i:].T), einsum, or this matmul on rows that are
     not C-contiguous float64 (numpy's own loop) sum in another order and can
-    differ in the last bit. The rest of cosine_similarity's arithmetic (the
-    zero-norm rule, the underflow fallback, the clamp) runs on whole arrays.
+    differ in the last bit.
+
+    ddot(u, v) == ddot(v, u) bit for bit (the products are the same and
+    are summed in the same order), so only one triangle is computed: each
+    block of _BLOCK_ROWS rows against itself and the rows after it, and
+    mirrored into the columns below. The rest of cosine_similarity's
+    arithmetic (the zero-norm rule, the underflow fallback, the clamp) runs
+    on each block in place, so the only n x n array is the result.
     """
     w = np.ascontiguousarray(weights, dtype=np.float64)
     n = len(w)
-    dots = (w[:, None, None, :] @ w[:, :, None]).reshape(n, n)
-    sq = dots.diagonal().copy()
-    with np.errstate(all="ignore"):
-        denom = np.sqrt(np.outer(sq, sq))
-        underflow = denom == 0.0  # uu * vv underflowed, or a norm is zero
-        denom[underflow] = np.outer(np.sqrt(sq), np.sqrt(sq))[underflow]
-        sim = np.divide(dots, denom, out=dots)
-    del denom, underflow
-    # max(0.0, x) then min(1.0, x), as Python evaluates them (NaN and -0.0 give 0.0)
-    sim[~(sim > 0.0)] = 0.0
-    sim[~(sim < 1.0)] = 1.0
-    zero = sq == 0.0
-    sim[zero], sim[:, zero] = 0.0, 0.0
-    return np.subtract(1.0, sim, out=sim)
+    sq = (w[:, None, :] @ w[:, :, None]).reshape(n)
+    root, zero = np.sqrt(sq), sq == 0.0
+    dist = np.empty((n, n))
+    for s in range(0, n, _BLOCK_ROWS):
+        e = min(s + _BLOCK_ROWS, n)
+        sim = (w[s:e, None, None, :] @ w[s:, :, None]).reshape(e - s, n - s)
+        with np.errstate(all="ignore"):
+            denom = np.sqrt(np.outer(sq[s:e], sq[s:]))
+            underflow = denom == 0.0  # uu * vv underflowed, or a norm is zero
+            denom[underflow] = np.outer(root[s:e], root[s:])[underflow]
+            np.divide(sim, denom, out=sim)
+        # max(0.0, x) then min(1.0, x), as Python evaluates them (NaN and -0.0 give 0.0)
+        sim[~(sim > 0.0)] = 0.0
+        sim[~(sim < 1.0)] = 1.0
+        sim[zero[s:e]], sim[:, zero[s:]] = 0.0, 0.0
+        block = np.subtract(1.0, sim, out=dist[s:e, s:])
+        dist[e:, s:e] = block[:, e - s:].T
+    return dist
 
 
 def agglomerative_order(matrix: ConceptMatrix) -> tuple[list[Concept], ClusterNode | None]:
@@ -207,12 +227,18 @@ def agglomerative_order(matrix: ConceptMatrix) -> tuple[list[Concept], ClusterNo
     (sa*d(a,k) + sb*d(b,k)) / (sa+sb). Initial distances are
     1 - cosine_similarity(row i, row j) bit for bit.
 
-    Each row's minimum is cached, as in Müllner's generic linkage (arXiv
-    1109.2378), so a merge finds the global minimum and its tied rows in
-    O(n), writes one row and column, and rescans only the r rows whose
-    minimum sat in a merged column, the merged pair included: O(n * r) per
-    merge. r averages 22 of 267 rows on the concept-space benchmark; only
-    a matrix that made every row rescan every time would cost O(n^3).
+    As in Müllner's generic linkage (arXiv 1109.2378), each active row
+    keeps its exact minimum and a nearest neighbour nn, a column that
+    holds it. A merge of a and b finds the global minimum and its tied
+    rows in O(n) and writes row and column a. A row whose nn was neither
+    a nor b still holds its minimum there; any row whose new value in
+    column a is no larger than its minimum takes that value with nn = a;
+    only the rows whose nn was a or b and whose value in column a grew
+    are rescanned. Rows that merely tie with a merged column are not.
+    Column b is not cleared: the reads that could meet it mask the
+    merged-away slots, and once half of the array's slots are merged
+    away the active ones are copied to the front of the same buffer, so
+    the per-merge work follows the number of active clusters.
 
     Ties are broken in full, so the order is deterministic:
       1. among pairs at the minimum distance, take the smallest
@@ -224,11 +250,13 @@ def agglomerative_order(matrix: ConceptMatrix) -> tuple[list[Concept], ClusterNo
          ordered by the newer cluster's creation id (leaves are 0..n-1,
          merges n, n+1, ...) and then by the other cluster's id.
     The child with the smaller name goes left; on equal names the older
-    cluster goes left.
+    cluster goes left. The rule reads the row minima and the distances,
+    never nn, so which tied column nn names changes nothing.
 
-    tests/clustering_oracle.py keeps the original dict-of-pairs version;
-    this one reproduces its merge order, its heights and its tree bit for
-    bit. A nearest-neighbour chain would merge in another order, so its
+    tests/clustering_oracle.py keeps the original dict-of-pairs version
+    and the cached-minimum version this one replaced; this one reproduces
+    their merge order, their heights and their tree bit for bit. A
+    nearest-neighbour chain would merge in another order, so its
     Lance-Williams sums could differ in the last bit.
     """
     n = len(matrix.concepts)
@@ -240,43 +268,78 @@ def agglomerative_order(matrix: ConceptMatrix) -> tuple[list[Concept], ClusterNo
 
     dist = _cosine_distances(matrix.weights)
     np.fill_diagonal(dist, np.inf)  # inf marks a pair that can no longer merge
+    buf = dist.reshape(-1)
     name_rank = {name: r for r, name in enumerate(sorted({c.name for c in matrix.concepts}))}
     # per slot: the rank of the cluster's smallest leaf name, its creation id, size, tree
     rank = np.array([name_rank[c.name] for c in matrix.concepts])
     cid = np.arange(n)
-    size = [1] * n
+    size = [1.0] * n
     nodes = [ClusterNode(0.0, concept=c) for c in matrix.concepts]
-    rowmin = dist.min(axis=1)  # each row's minimum; inf once the slot is merged away
+    # each row's minimum and a column holding it; the minimum is inf once the slot is merged away
+    nn = dist.argmin(axis=1)
+    rowmin = dist[cid, nn]
+    # a merged-away slot keeps stale distances in its column: reads mask it or skip it
+    gone = np.zeros(n, dtype=bool)
+    m = n  # active slots
 
     for next_id in range(n, 2 * n - 1):
-        d = rowmin.min()
-        slots = np.flatnonzero(rowmin == d)
-        firsts = slots[rank[slots] == rank[slots].min()]
-        partner_rank = np.where(dist[firsts] == d, rank, len(name_rank))
-        rows, partners = np.nonzero(partner_rank == partner_rank.min())
-        a, b, k = firsts[rows], partners, 0
-        if len(a) > 1:  # equal names too: first pair in creation order
-            lo, hi = np.minimum(cid[a], cid[b]), np.maximum(cid[a], cid[b])
-            merged = hi >= n
-            k = np.lexsort((np.where(merged, lo, hi), np.where(merged, hi, lo), merged))[0]
-        a, b = a[k], b[k]
+        if 2 * m <= len(dist):
+            # copy the active slots, in order, to an m x m array at the front of
+            # the same buffer, a block of rows at a time: keep[r] >= r and the
+            # new rows are shorter, so a block lands before every row still to
+            # be read
+            keep = (~gone).nonzero()[0]
+            compact = buf[:m * m].reshape(m, m)
+            for lo in range(0, m, _BLOCK_ROWS):
+                compact[lo:lo + _BLOCK_ROWS] = dist[np.ix_(keep[lo:lo + _BLOCK_ROWS], keep)]
+            dist = compact
+            nn = (np.cumsum(~gone) - 1)[nn[keep]]
+            rowmin, rank, cid, gone = rowmin[keep], rank[keep], cid[keep], gone[keep]
+            size, nodes = [size[i] for i in keep], [nodes[i] for i in keep]
+        d = rowmin[rowmin.argmin()]
+        # the distance array is symmetric, so every pair at distance d joins two
+        # of these slots, and two slots are each other's minimum
+        slots = (rowmin == d).nonzero()[0]
+        if len(slots) == 2:
+            a, b = slots.tolist()
+        else:
+            ranks = rank[slots]
+            firsts = slots[ranks == ranks.min()]
+            pairs = dist[firsts[:, None], slots] == d
+            pairs &= ranks == ranks[pairs.any(axis=0)].min()
+            rows, cols = pairs.nonzero()
+            a, b, k = firsts[rows], slots[cols], 0
+            if len(a) > 1:  # equal names too: first pair in creation order
+                lo, hi = np.minimum(cid[a], cid[b]), np.maximum(cid[a], cid[b])
+                merged = hi >= n
+                k = np.lexsort((np.where(merged, lo, hi), np.where(merged, hi, lo), merged))[0]
+            a, b = int(a[k]), int(b[k])
         if cid[a] > cid[b]:
             a, b = b, a
         left, right = (a, b) if rank[a] <= rank[b] else (b, a)
         nodes[a] = ClusterNode(float(d), children=(nodes[left], nodes[right]))
         sa, sb = size[a], size[b]
-        # rescan the active rows whose minimum sat in column a or b, a and b
-        # among them (dist[a, b] is both rows' minimum); b's row is all inf then
-        stale = ((dist[:, a] == rowmin) | (dist[:, b] == rowmin)) & (rowmin < np.inf)
+        gone[b], m = True, m - 1
         # unweighted average linkage via the Lance-Williams update; the inf
-        # diagonal and inactive slots stay inf
-        row = (sa * dist[a] + sb * dist[b]) / (sa + sb)
+        # diagonal stays inf
+        row = dist[a] * sa + dist[b] * sb
+        row /= sa + sb
+        row[gone] = np.inf
         dist[a], dist[:, a] = row, row
-        dist[b], dist[:, b] = np.inf, np.inf
-        # an average can round below both distances it averages (sizes 1 and 9,
-        # say), so every row's minimum takes the new column in
-        rowmin = np.minimum(rowmin, row)
-        rowmin[stale] = dist[stale].min(axis=1)
+        nn[a] = row.argmin()
+        rowmin[a], rowmin[b] = row[nn[a]], np.inf
+        # a row whose minimum sat in column a or b keeps it in column a if the
+        # new value there is no larger, and is rescanned otherwise; an average
+        # can round below both distances it averages (sizes 1 and 9, say), so
+        # any row whose new value is no larger than its minimum takes column a
+        stale = (((nn == a) | (nn == b)) & (row > rowmin)).nonzero()[0]
+        nn[row <= rowmin] = a
+        np.minimum(rowmin, row, out=rowmin)
+        if len(stale):
+            rescanned = dist[stale]
+            rescanned[:, gone] = np.inf
+            nn[stale] = rescanned.argmin(axis=1)
+            rowmin[stale] = rescanned[np.arange(len(stale)), nn[stale]]
         size[a] = sa + sb
         rank[a] = min(rank[a], rank[b])
         cid[a] = next_id
@@ -286,11 +349,18 @@ def agglomerative_order(matrix: ConceptMatrix) -> tuple[list[Concept], ClusterNo
 
 
 def matrix_to_csv(matrix: ConceptMatrix) -> str:
-    """Comma-separated export: column keys in the header, 6 significant digits."""
+    """Comma-separated export: column keys in the header, 6 significant digits.
+
+    Each distinct float64 bit pattern is formatted once, as the Python
+    float it holds, so -0.0 prints -0 and 0.0 prints 0.
+    """
     header = ",".join(["concept"] + [col.key for col in matrix.columns])
+    weights = np.ascontiguousarray(matrix.weights, dtype=np.float64)
+    bits, cells = np.unique(weights.view(np.int64).ravel(), return_inverse=True)
+    text = np.array([f"{v:.6g}" for v in bits.view(np.float64).tolist()], dtype=object)
     lines = [header]
-    for concept, row in zip(matrix.concepts, matrix.weights.tolist()):
-        lines.append(",".join([concept.name] + [f"{v:.6g}" for v in row]))
+    for concept, row in zip(matrix.concepts, text[cells].reshape(weights.shape).tolist()):
+        lines.append(",".join([concept.name, *row]))
     return "\n".join(lines) + "\n"
 
 

@@ -1,29 +1,37 @@
 """The two fast paths of agglomerative_order against their exact references.
 
 _cosine_distances must give 1 - cosine_similarity of the C-contiguous
-float64 rows bit for bit, whatever the layout and dtype of its input, and
-the cached row minima must keep the oracle's merge order on matrices large
-enough that many rows share their minimum (hypothesis draws at most 30
-rows).
+float64 rows bit for bit, whatever the layout and dtype of its input and
+however its rows fall into blocks, and the row minima with their nearest
+neighbours must keep the oracles' merge order on matrices large enough
+that many rows share their minimum (hypothesis draws at most 30 rows).
 """
 
 import numpy as np
 import pytest
 
-from test_clustering_oracle import KINDS, assert_same_as_oracle, concept_matrix
-from wugnet.matrix import _cosine_distances, cosine_similarity
+import clustering_oracle
+from test_clustering_oracle import KINDS, VALUES, assert_same_as_oracle, concept_matrix
+from wugnet.matrix import _BLOCK_ROWS, _cosine_distances, cosine_similarity
 
 
 def _layouts():
     rng = np.random.default_rng(0)
     weights = rng.random((24, 30))
     weights[rng.random(weights.shape) < 0.6] = 0.0
-    return {
+    layouts = {
         "fortran-ordered": np.asfortranarray(weights),
         "strided view": weights[:, ::2],
         "integer": rng.integers(0, 4, size=(20, 30)),
         "no columns": np.zeros((5, 0)),
     }
+    # row counts on both sides of the block edges, with all-zero rows and
+    # rows whose squared norms underflow
+    for n in (1, _BLOCK_ROWS - 1, _BLOCK_ROWS, _BLOCK_ROWS + 1, 2 * _BLOCK_ROWS + 1):
+        rows = rng.choice(VALUES, size=(n, 6))
+        rows[rng.random(n) < 0.1] = 0.0
+        layouts[f"{n} rows"] = rows
+    return layouts
 
 
 LAYOUTS = _layouts()
@@ -62,6 +70,14 @@ def _tied_matrix(seed, n=160, cols=22):
     return concept_matrix([concepts[k] for k in order], rows.tolist(), cols)
 
 
-@pytest.mark.parametrize("seed", range(4))
-def test_cached_minima_match_oracle_at_160_rows(seed):
-    assert_same_as_oracle(_tied_matrix(seed))
+# the dict-of-pairs oracle at 160 rows; at 500, where it is too slow, the
+# cached-minimum version with its full-square distances
+TIED = [pytest.param(seed, 160, clustering_oracle.agglomerative_order, id=str(seed))
+        for seed in range(4)]
+TIED += [pytest.param(seed, 500, clustering_oracle.cached_minimum_order, id=f"500 rows-{seed}")
+         for seed in range(3)]
+
+
+@pytest.mark.parametrize("seed, n, oracle", TIED)
+def test_cached_minima_match_oracle_at_160_rows(seed, n, oracle):
+    assert_same_as_oracle(_tied_matrix(seed, n), oracle)

@@ -41,9 +41,9 @@ def merge_heights(tree):
     return heights
 
 
-def assert_same_as_oracle(m):
+def assert_same_as_oracle(m, oracle=clustering_oracle.agglomerative_order):
     leaves, tree = agglomerative_order(m)
-    want_leaves, want_tree = clustering_oracle.agglomerative_order(m)
+    want_leaves, want_tree = oracle(m)
     assert clusters_to_text(leaves, tree) == clusters_to_text(want_leaves, want_tree)
     assert merge_heights(tree) == merge_heights(want_tree)
 

@@ -6,7 +6,17 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from wugnet.graph import ATTRIBUTE, CATEGORY, IS, OBJECT, SLOT1, SLOT2, Concept, ConceptNetwork
+from wugnet.graph import (
+    ATTRIBUTE,
+    CATEGORY,
+    IS,
+    OBJECT,
+    SLOT1,
+    SLOT2,
+    Concept,
+    ConceptNetwork,
+    network_from_text,
+)
 from wugnet.matrix import (
     ClusterNode,
     ConceptMatrix,
@@ -409,6 +419,26 @@ def test_matrix_csv_layout():
     lines = csv.splitlines()
     assert lines[0] == "concept,drink⊕slot-1"
     assert "mom,0.2" in lines
+
+
+def test_zero_weight_edges_fill_their_column_with_their_sign():
+    # red⊕is is a column through cup's positive edge; mom's -0 and dad's 0
+    # edges to it are written too, and drink⊕slot-1 (a 0 edge only) is no column
+    net = network_from_text(
+        "conceptnet v1\n"
+        "node attribute red\nnode action drink\nnode object cup\nnode object dad\nnode object mom\n"
+        "edge object/cup is attribute/red 0.5 generic:0\n"
+        "edge object/mom is attribute/red -0 generic:0\n"
+        "edge object/dad is attribute/red 0 generic:0\n"
+        "edge object/dad slot-1 action/drink 0 generic:0\n")
+    m = build_matrix(net)
+    assert [c.key for c in m.columns] == ["red⊕is"]
+    mom, dad = net.get("mom", OBJECT), net.get("dad", OBJECT)
+    assert math.copysign(1.0, m.weights[m.row_of(mom), 0]) == -1.0
+    assert math.copysign(1.0, m.weights[m.row_of(dad), 0]) == 1.0
+    lines = matrix_to_csv(m).splitlines()
+    assert lines == ["concept,red⊕is", "drink,0", "red,0", "cup,0.5", "dad,0", "mom,-0"]
+    assert lines[1:] == [f"{c.name},{m.weights[i, 0]:.6g}" for i, c in enumerate(m.concepts)]
 
 
 CSV_CELLS = (0.0, -0.0, 5e-324, 2.225073858507201e-308, 1.0 - 2.0 ** -53, 1.0,
