@@ -53,7 +53,9 @@ def _build_parser() -> _Parser:
     learn.add_argument("--curriculum", required=True,
                        help="path to a curriculum file, or builtin:NAME")
     learn.add_argument("--network", required=True, help="output network file")
-    learn.add_argument("--seed", type=int, default=0)
+    learn.add_argument("--seed", type=int, default=None,
+                       help="reorders the instances inside each phase of a builtin: "
+                            "curriculum (default 0)")
     learn.add_argument("--trace", action="store_true",
                        help="write an edge-update journal next to the network")
 
@@ -103,7 +105,9 @@ def _vector_for(net, matrix, name: str):
 
 def _cmd_learn(args) -> int:
     if args.curriculum.startswith("builtin:"):
-        curriculum = builtin_curriculum(args.curriculum[len("builtin:"):], seed=args.seed)
+        curriculum = builtin_curriculum(args.curriculum[len("builtin:"):], seed=args.seed or 0)
+    elif args.seed is not None:
+        raise ValueError("--seed applies only to builtin: curricula")
     else:
         curriculum = load_curriculum(args.curriculum)
     net = ConceptNetwork()

@@ -184,10 +184,10 @@ class ConceptNetwork:
 
     Single writer during learning; read-only (by convention) afterwards.
     _out maps each node to its out-edges keyed by (target, label), the
-    only edge store. add_concept validates every node and write every
-    edge; observe_association, assert_generic, set_strength and the file
-    loader all go through them. copy() alone does not: it copies edges
-    and member lists that have already passed them.
+    only edge store. add_concept is the one node path and write the one
+    edge path: each makes every check of its kind, and the file loader
+    goes through both. copy() alone does not: it copies edges and member
+    lists that have already passed them.
     When it creates an `is` edge into a category it inserts the source
     into that category's member list, kept sorted by (name, kind), so
     members_of is a copy of that list: O(members), not O(edges).
@@ -259,11 +259,12 @@ class ConceptNetwork:
               generic: bool) -> tuple[float, float]:
         """The one edge write path; returns the edge's (old, new) weight.
 
-        weight None applies the plateauing update, which leaves a generic
-        edge at 1.0; otherwise the weight and generic flag are stored.
-        old is 0.0 for an edge this write creates. Nothing changes unless
-        every check passes. Each check is one probe; only a failed probe
-        calls the helper that raises the error naming it.
+        weight None applies the plateauing update a <- a + r * (1 - a),
+        which leaves a generic edge at 1.0; otherwise the weight and
+        generic flag are stored. old is 0.0 for an edge this write
+        creates. Nothing changes unless every check passes. Each check is
+        one probe; only a failed probe calls the helper that raises the
+        error naming it.
         """
         out = self._out.get(src)
         if out is None:
@@ -294,23 +295,6 @@ class ConceptNetwork:
             e.weight = weight
             e.generic_origin = generic
         return old, e.weight
-
-    def observe_association(self, src: Concept, dst: Concept, label: str) -> float:
-        """Strengthen src->dst by one co-occurrence: a <- a + r*(1-a).
-
-        Generic-origin edges stay at 1.0 (the update has its fixed point
-        there anyway). Returns the new weight.
-        """
-        return self.write(src, dst, label, None, False)[1]
-
-    def assert_generic(self, src: Concept, dst: Concept, label: str) -> float:
-        """Pin src->dst at the maximum strength 1.0 and mark it generic."""
-        return self.write(src, dst, label, 1.0, True)[1]
-
-    def set_strength(self, src: Concept, dst: Concept, label: str, weight: float,
-                     generic: bool = False) -> None:
-        """Write an edge weight and generic flag directly."""
-        self.write(src, dst, label, weight, generic)
 
     def get_strength(self, src: Concept, dst: Concept, label: str) -> float:
         """Current weight of src->dst, 0.0 when no such edge exists."""

@@ -35,7 +35,7 @@ def inherit_novel_member(net, subject_lemma, category):
     """A novel object joins a known category and copies its member-average features."""
     members = members_scan(net, category)
     subject = net.add_concept(subject_lemma, OBJECT)
-    net.assert_generic(subject, category, IS)
+    net.write(subject, category, IS, 1.0, True)
     if not members:
         return
     totals = _totals(net, members)
@@ -46,4 +46,4 @@ def inherit_novel_member(net, subject_lemma, category):
         existing = net.edge(subject, target, label)
         if existing is not None and existing.generic_origin:
             continue
-        net.set_strength(subject, target, label, mean)
+        net.write(subject, target, label, mean, False)

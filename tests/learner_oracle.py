@@ -20,14 +20,12 @@ def _ensure(net, report, name, kind):
 
 
 def _observe_edge(net, report, src, dst, label):
-    old = net.get_strength(src, dst, label)
-    new = net.observe_association(src, dst, label)
+    old, new = net.write(src, dst, label, None, False)
     report.edges.append(EdgeWrite(src.key, label, dst.key, old, new))
 
 
 def _assert_edge(net, report, src, dst, label):
-    old = net.get_strength(src, dst, label)
-    new = net.assert_generic(src, dst, label)
+    old, new = net.write(src, dst, label, 1.0, True)
     report.edges.append(EdgeWrite(src.key, label, dst.key, old, new, generic=True))
 
 
@@ -125,5 +123,5 @@ def _membership_generic(net, report, parsed):
         existing = net.edge(subject, target, label)
         if existing is not None and existing.generic_origin:
             continue  # the membership edge itself stays generic
-        net.set_strength(subject, target, label, mean)
+        net.write(subject, target, label, mean, False)
         report.edges.append(EdgeWrite(subject.key, label, target.key, 0.0, mean))

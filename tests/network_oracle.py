@@ -1,9 +1,10 @@
 """The network codec before keys were formatted and looked up once per node.
 
 network_to_text and network_from_text below are the versions the one-pass
-codec in wugnet.graph replaced, kept word for word. Tests compare the two
-codecs: the same text for every network, and for every file the same
-network or the same NetworkFormatError message and line.
+codec in wugnet.graph replaced, kept word for word but for the edge store,
+which now calls ConceptNetwork.write. Tests compare the two codecs: the
+same text for every network, and for every file the same network or the
+same NetworkFormatError message and line.
 """
 
 from wugnet.graph import Concept, ConceptNetwork, NetworkFormatError
@@ -57,7 +58,7 @@ def network_from_text(text: str) -> ConceptNetwork:
             if flag_s not in ("generic:0", "generic:1"):
                 raise NetworkFormatError(f"bad generic flag {flag_s!r}", lineno)
             try:
-                net.set_strength(src, dst, label, weight, flag_s == "generic:1")
+                net.write(src, dst, label, weight, flag_s == "generic:1")
             except ValueError as err:
                 raise NetworkFormatError(str(err), lineno) from err
         else:

@@ -74,7 +74,7 @@ def test_criterion_01_update_rule_closed_form():
     net = ConceptNetwork()
     a = net.add_concept("a", OBJECT)
     b = net.add_concept("b", ATTRIBUTE)
-    observed = [net.observe_association(a, b, IS) for _ in range(50)]
+    observed = [net.write(a, b, IS, None, False)[1] for _ in range(50)]
     for k, w in enumerate(observed, start=1):
         assert abs(w - (1.0 - 0.8 ** k)) < 1e-12, (k, w)
     assert abs(observed[0] - 0.2) < 1e-12
@@ -152,9 +152,9 @@ def test_criterion_05_generic_dominance_and_conservation():
     rng = random.Random(42)
     objs = [net.add_concept(n, OBJECT) for n in ("ball", "cup", "dog")]
     attrs = [net.add_concept(n, ATTRIBUTE) for n in ("red", "blue")]
-    net.assert_generic(objs[0], attrs[0], IS)
+    net.write(objs[0], attrs[0], IS, 1.0, True)
     for _ in range(100):
-        net.observe_association(rng.choice(objs), rng.choice(attrs), IS)
+        net.write(rng.choice(objs), rng.choice(attrs), IS, None, False)
     assert net.get_strength(objs[0], attrs[0], IS) == 1.0
 
     # independent replay of the task-1 phases, diffed edge by edge

@@ -66,6 +66,19 @@ def test_learn_names_the_instance_it_cannot_learn(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_learn_rejects_a_seed_for_a_curriculum_file(tmp_path, capsys):
+    src = tmp_path / "one.cur"
+    src.write_text("instance\n  scene: entity e0 dog\n  say: a dog\n")
+    out = tmp_path / "net.txt"
+    code, _, err = run(capsys, "learn", "--curriculum", str(src), "--network", str(out),
+                       "--seed", "0")
+    assert code == 1
+    assert err == "wugnet: error: --seed applies only to builtin: curricula\n"
+    assert not out.exists()
+    code, _, _ = run(capsys, "learn", "--curriculum", str(src), "--network", str(out))
+    assert code == 0
+
+
 def test_learn_missing_curriculum_exits_2(tmp_path, capsys):
     code, _, _ = run(capsys, "learn", "--curriculum", str(tmp_path / "nope.cur"),
                      "--network", str(tmp_path / "net.txt"))
@@ -129,6 +142,16 @@ def test_traced_learn_writes_the_pinned_network_and_journal(tmp_path, capsys, na
     assert hashlib.sha256(out.read_bytes()).hexdigest() == network
     journal = tmp_path / "net.txt.trace.jsonl"
     assert hashlib.sha256(journal.read_bytes()).hexdigest() == journals[seed]
+
+
+def test_learn_builtin_without_seed_uses_seed_0(tmp_path, capsys):
+    out = tmp_path / "net.txt"
+    code, _, _ = run(capsys, "learn", "--curriculum", "builtin:objects-and-colors",
+                     "--network", str(out), "--trace")
+    assert code == 0
+    journal = tmp_path / "net.txt.trace.jsonl"
+    assert hashlib.sha256(journal.read_bytes()).hexdigest() == \
+        TRACED_LEARN_SHA256["objects-and-colors"][1][0]
 
 @pytest.fixture
 def trained(tmp_path, capsys):

@@ -59,9 +59,9 @@ def test_unknown_kind_rejected(net):
 def test_observation_strengths_plateau(net):
     cookie = net.add_concept("cookie", OBJECT)
     green = net.add_concept("green", ATTRIBUTE)
-    assert net.observe_association(cookie, green, IS) == pytest.approx(0.2)
-    assert net.observe_association(cookie, green, IS) == pytest.approx(0.36)
-    assert net.observe_association(cookie, green, IS) == pytest.approx(0.488)
+    assert net.write(cookie, green, IS, None, False)[1] == pytest.approx(0.2)
+    assert net.write(cookie, green, IS, None, False)[1] == pytest.approx(0.36)
+    assert net.write(cookie, green, IS, None, False)[1] == pytest.approx(0.488)
 
 
 def test_closed_form_matches_iterated_update(net):
@@ -69,7 +69,7 @@ def test_closed_form_matches_iterated_update(net):
     b = net.add_concept("b", ATTRIBUTE)
     expected = 0.0
     for k in range(1, 51):
-        got = net.observe_association(a, b, IS)
+        got = net.write(a, b, IS, None, False)[1]
         expected = expected + 0.2 * (1.0 - expected)  # independent replay
         assert got == expected
         assert abs(got - (1.0 - 0.8 ** k)) < 1e-12
@@ -78,25 +78,25 @@ def test_closed_form_matches_iterated_update(net):
 def test_observation_is_a_fixed_point_at_one(net):
     a = net.add_concept("a", OBJECT)
     b = net.add_concept("b", ATTRIBUTE)
-    net.set_strength(a, b, IS, 1.0)
-    assert net.observe_association(a, b, IS) == 1.0
+    net.write(a, b, IS, 1.0, False)
+    assert net.write(a, b, IS, None, False)[1] == 1.0
 
 
 def test_assert_generic_maximizes_and_sticks(net):
     a = net.add_concept("watermelon", OBJECT)
     g = net.add_concept("green", ATTRIBUTE)
-    net.observe_association(a, g, IS)
+    net.write(a, g, IS, None, False)
     assert net.get_strength(a, g, IS) == pytest.approx(0.2)
-    assert net.assert_generic(a, g, IS) == 1.0
-    assert net.assert_generic(a, g, IS) == 1.0
-    assert net.observe_association(a, g, IS) == 1.0
+    assert net.write(a, g, IS, 1.0, True)[1] == 1.0
+    assert net.write(a, g, IS, 1.0, True)[1] == 1.0
+    assert net.write(a, g, IS, None, False)[1] == 1.0
     assert net.edge(a, g, IS).generic_origin
 
 
 def test_generic_from_zero(net):
     a = net.add_concept("a", OBJECT)
     b = net.add_concept("b", CATEGORY)
-    assert net.assert_generic(a, b, IS) == 1.0
+    assert net.write(a, b, IS, 1.0, True)[1] == 1.0
 
 
 def test_label_kind_validation(net):
@@ -104,14 +104,14 @@ def test_label_kind_validation(net):
     color = net.add_concept("red", ATTRIBUTE)
     verb = net.add_concept("roll", ACTION)
     with pytest.raises(EdgeRuleError):
-        net.observe_association(obj, color, SLOT1)
+        net.write(obj, color, SLOT1, None, False)
     with pytest.raises(EdgeRuleError):
-        net.observe_association(obj, obj, IS)
+        net.write(obj, obj, IS, None, False)
     with pytest.raises(EdgeRuleError):
-        net.assert_generic(obj, verb, IS)
+        net.write(obj, verb, IS, 1.0, True)
     # the valid pairings
-    net.observe_association(obj, verb, SLOT2)
-    net.observe_association(obj, color, IS)
+    net.write(obj, verb, SLOT2, None, False)
+    net.write(obj, color, IS, None, False)
 
 
 @pytest.mark.parametrize("label", [SLOT1, SLOT2, IS, "has"])
@@ -136,7 +136,7 @@ def test_writes_name_a_node_from_another_network(net):
     with pytest.raises(KeyError, match="concept object/ghost is not in this network"):
         net.write(ghost, red, IS, 0.5, False)
     with pytest.raises(KeyError, match="concept attribute/pink is not in this network"):
-        net.observe_association(ball, ghost_red, IS)
+        net.write(ball, ghost_red, IS, None, False)
     assert net.edges() == []
 
 
@@ -151,8 +151,8 @@ def test_neighbors_sorted_and_empty_for_fresh_node(net):
     assert net.neighbors(bird) == []
     fly = net.add_concept("fly", ACTION)
     animal = net.add_concept("animal", CATEGORY)
-    net.assert_generic(bird, animal, IS)
-    net.observe_association(bird, fly, SLOT1)
+    net.write(bird, animal, IS, 1.0, True)
+    net.write(bird, fly, SLOT1, None, False)
     targets = [(t.name, label) for t, label, _ in net.neighbors(bird)]
     assert targets == [("animal", IS), ("fly", SLOT1)]
 
@@ -160,7 +160,7 @@ def test_neighbors_sorted_and_empty_for_fresh_node(net):
 def test_members_of_collects_is_edges(net):
     animal = net.add_concept("animal", CATEGORY)
     for name in ("dog", "cat"):
-        net.assert_generic(net.add_concept(name, OBJECT), animal, IS)
+        net.write(net.add_concept(name, OBJECT), animal, IS, 1.0, True)
     assert [m.name for m in net.members_of(animal)] == ["cat", "dog"]
 
 
@@ -174,8 +174,8 @@ def test_shared_node_appears_in_both_categories(net):
     chicken = net.add_concept("chicken", OBJECT)
     animal = net.add_concept("animal", CATEGORY)
     food = net.add_concept("food", CATEGORY)
-    net.assert_generic(chicken, animal, IS)
-    net.assert_generic(chicken, food, IS)
+    net.write(chicken, animal, IS, 1.0, True)
+    net.write(chicken, food, IS, 1.0, True)
     assert chicken in net.members_of(animal)
     assert chicken in net.members_of(food)
 
@@ -183,10 +183,26 @@ def test_shared_node_appears_in_both_categories(net):
 def test_set_strength_validates(net):
     a = net.add_concept("a", OBJECT)
     b = net.add_concept("b", ATTRIBUTE)
-    with pytest.raises(ValueError):
-        net.set_strength(a, b, IS, 1.5)
-    with pytest.raises(ValueError):
-        net.set_strength(a, b, IS, 0.5, generic=True)
+    c = net.add_concept("c", OBJECT)
+    d = net.add_concept("d", OBJECT)
+    animal = net.add_concept("animal", CATEGORY)
+    net.write(a, b, IS, None, False)
+    net.write(c, animal, IS, 1.0, True)
+    rejected = [
+        (ValueError, (a, b, IS, 1.5, False)),
+        (ValueError, (a, b, IS, float("nan"), False)),
+        (ValueError, (a, b, IS, 0.5, True)),
+        (ValueError, (d, animal, IS, 1.5, False)),
+        (ValueError, (c, animal, IS, 1.5, False)),
+        (EdgeRuleError, (a, b, SLOT1, 0.5, False)),
+        (EdgeRuleError, (a, b, "has", 0.5, False)),
+    ]
+    for error, args in rejected:
+        before = (network_to_text(net), net.edge_count(), net.members_of(animal))
+        with pytest.raises(error):
+            net.write(*args)
+        assert (network_to_text(net), net.edge_count(), net.members_of(animal)) == before
+    assert net.members_of(animal) == [c]
 
 
 # -- persistence ---------------------------------------------------------
@@ -200,9 +216,9 @@ def test_small_network_round_trips_losslessly(net):
     cookie = net.add_concept("cookie", OBJECT)
     green = net.add_concept("green", ATTRIBUTE)
     animal = net.add_concept("animal", CATEGORY)
-    net.observe_association(cookie, green, IS)
-    net.observe_association(cookie, green, IS)
-    net.assert_generic(cookie, animal, IS)
+    net.write(cookie, green, IS, None, False)
+    net.write(cookie, green, IS, None, False)
+    net.write(cookie, animal, IS, 1.0, True)
     loaded = network_from_text(network_to_text(net))
     assert loaded == net
     c2 = loaded.require("cookie", OBJECT)
@@ -249,9 +265,9 @@ def test_networks_differing_in_one_detail_are_unequal():
         net = ConceptNetwork()
         a = net.add_concept("a", OBJECT)
         animal = net.add_concept("animal", CATEGORY)
-        net.set_strength(a, net.add_concept("b", ATTRIBUTE), IS, weight)
-        net.set_strength(a, animal, IS, 1.0, generic)
-        net.set_strength(a, net.add_concept("c", ACTION), label, 0.25)
+        net.write(a, net.add_concept("b", ATTRIBUTE), IS, weight, False)
+        net.write(a, animal, IS, 1.0, generic)
+        net.write(a, net.add_concept("c", ACTION), label, 0.25, False)
         if extra_node:
             net.add_concept("d", OBJECT)
         return net
@@ -277,22 +293,22 @@ def test_copy_is_equal_and_independent(net):
     red, hop = net.add_concept("red", ATTRIBUTE), net.add_concept("hop", ACTION)
     members = [net.add_concept(f"m-{chr(97 + i // 26)}{chr(97 + i % 26)}", OBJECT) for i in range(FOLD_MIN_MEMBERS + 1)]
     for i, member in enumerate(members):
-        net.assert_generic(member, herd, IS)
-        net.set_strength(member, red, IS, (i % 7) / 7)
-    net.assert_generic(members[0], pair, IS)
-    net.observe_association(members[0], hop, SLOT1)
+        net.write(member, herd, IS, 1.0, True)
+        net.write(member, red, IS, (i % 7) / 7, False)
+    net.write(members[0], pair, IS, 1.0, True)
+    net.write(members[0], hop, SLOT1, None, False)
     net.member_average(herd)  # the original keeps a fold; the copy starts without one
     text = network_to_text(net)
 
     other = net.copy()
     assert other == net and network_to_text(other) == text
     assert other.members_of(herd) == members
-    other.observe_association(members[1], red, IS)
-    other.assert_generic(other.add_concept("newt", OBJECT), pair, IS)
+    other.write(members[1], red, IS, None, False)
+    other.write(other.add_concept("newt", OBJECT), pair, IS, 1.0, True)
     assert network_to_text(net) == text
     assert net.members_of(pair) == [members[0]]
 
-    net.set_strength(members[2], hop, SLOT2, 0.5)
+    net.write(members[2], hop, SLOT2, 0.5, False)
     assert other.get_strength(members[2], hop, SLOT2) == 0.0
     assert other != net
     for network in (net, other):
@@ -303,10 +319,10 @@ def test_copy_is_equal_and_independent(net):
 def test_diff_networks_reports_weight_changes(net):
     a = net.add_concept("a", OBJECT)
     b = net.add_concept("b", ATTRIBUTE)
-    net.observe_association(a, b, IS)
+    net.write(a, b, IS, None, False)
     other = net.copy()
     assert diff_networks(net, other) == []
-    other.assert_generic(a, b, IS)
+    other.write(a, b, IS, 1.0, True)
     changes = diff_networks(net, other)
     assert len(changes) == 1 and changes[0].startswith("~edge object/a is attribute/b")
 
@@ -320,7 +336,7 @@ def test_monotone_convergence(k):
     b = net.add_concept("b", ATTRIBUTE)
     prev = 0.0
     for _ in range(k):
-        w = net.observe_association(a, b, IS)
+        w = net.write(a, b, IS, None, False)[1]
         assert prev < w <= 1.0
         prev = w
     assert abs(prev - (1.0 - 0.8 ** k)) < 1e-12
@@ -340,12 +356,12 @@ def test_weights_stay_in_bounds_under_any_interleaving(ops):
         src = net.add_concept(src_name, src_kind)
         dst = net.add_concept(dst_name, dst_kind)
         if op == "observe":
-            w = net.observe_association(src, dst, IS)
+            w = net.write(src, dst, IS, None, False)[1]
         elif op == "generic":
-            w = net.assert_generic(src, dst, IS)
+            w = net.write(src, dst, IS, 1.0, True)[1]
             generic.add((src, dst))
         else:
-            net.set_strength(src, dst, IS, weight)
+            net.write(src, dst, IS, weight, False)
             w = weight
             generic.discard((src, dst))
         assert 0.0 <= w <= 1.0
@@ -376,8 +392,8 @@ def test_identical_op_sequences_build_identical_networks(ops):
         dsts = {n: net.add_concept(n, ATTRIBUTE) for n in ("x", "y")}
         for op, s, d in ops:
             if op == "observe":
-                net.observe_association(srcs[s], dsts[d], IS)
+                net.write(srcs[s], dsts[d], IS, None, False)
             else:
-                net.assert_generic(srcs[s], dsts[d], IS)
+                net.write(srcs[s], dsts[d], IS, 1.0, True)
         nets.append(net)
     assert nets[0] == nets[1]

@@ -56,18 +56,18 @@ def _network(ops) -> ConceptNetwork:
     nodes = {(name, kind): net.add_concept(name, kind) for name, kind, _ in TARGETS}
     animal, food = nodes[("animal", CATEGORY)], nodes[("food", CATEGORY)]
     # a member of two categories, and a zero-weight membership
-    net.assert_generic(net.get("hen", OBJECT), animal, IS)
-    net.assert_generic(net.get("hen", OBJECT), food, IS)
-    net.set_strength(net.get("gorp", OBJECT), animal, IS, 0.0)
-    net.observe_association(net.get("dax", OBJECT), nodes[("red", ATTRIBUTE)], IS)
+    net.write(net.get("hen", OBJECT), animal, IS, 1.0, True)
+    net.write(net.get("hen", OBJECT), food, IS, 1.0, True)
+    net.write(net.get("gorp", OBJECT), animal, IS, 0.0, False)
+    net.write(net.get("dax", OBJECT), nodes[("red", ATTRIBUTE)], IS, None, False)
     for op, src_name, (name, kind, label), weight in ops:
         src, dst = net.get(src_name, OBJECT), nodes[(name, kind)]
         if op == "observe":
-            net.observe_association(src, dst, label)
+            net.write(src, dst, label, None, False)
         elif op == "generic":
-            net.assert_generic(src, dst, label)
+            net.write(src, dst, label, 1.0, True)
         else:
-            net.set_strength(src, dst, label, weight)
+            net.write(src, dst, label, weight, False)
     return net
 
 
@@ -128,9 +128,9 @@ def _fold_network() -> ConceptNetwork:
         category = net.require(category_name, CATEGORY)
         for name in names:
             member = net.require(name, OBJECT)
-            net.assert_generic(member, category, IS)
-            net.set_strength(member, red, IS, rng.random())
-            net.set_strength(member, hop, SLOT1, rng.random())
+            net.write(member, category, IS, 1.0, True)
+            net.write(member, red, IS, rng.random(), False)
+            net.write(member, hop, SLOT1, rng.random(), False)
     return net
 
 
@@ -161,11 +161,11 @@ def test_member_average_folds_track_interleaved_writes(ops):
             name, kind, label = args[1]
             dst = net.require(name, kind)
             if op == "observe":
-                net.observe_association(src, dst, label)
+                net.write(src, dst, label, None, False)
             elif op == "generic":
-                net.assert_generic(src, dst, label)
+                net.write(src, dst, label, 1.0, True)
             else:
-                net.set_strength(src, dst, label, args[2])
+                net.write(src, dst, label, args[2], False)
     for net in earlier + [net]:
         _assert_averages_match(net)
 
@@ -290,9 +290,9 @@ def test_fold_rows_follow_joins_new_columns_and_later_writes():
     def join(*names):
         for name in names:
             member = net.add_concept(name, OBJECT)
-            net.assert_generic(member, herd, IS)
-            net.set_strength(member, red, IS, rng.random())
-            net.set_strength(member, hop, SLOT1, rng.random())
+            net.write(member, herd, IS, 1.0, True)
+            net.write(member, red, IS, rng.random(), False)
+            net.write(member, hop, SLOT1, rng.random(), False)
 
     assert len(net.members_of(herd)) >= FOLD_MIN_MEMBERS
     _assert_averages_match(net)
@@ -305,9 +305,9 @@ def test_fold_rows_follow_joins_new_columns_and_later_writes():
     _assert_averages_match(net)
     # a key that adds a new column, written to a member and a joining member
     teal = net.add_concept("teal", ATTRIBUTE)
-    net.set_strength(net.require(FOLD_NAMES[3], OBJECT), teal, IS, rng.random())
+    net.write(net.require(FOLD_NAMES[3], OBJECT), teal, IS, rng.random(), False)
     join("ac")
-    net.set_strength(net.require("ac", OBJECT), teal, IS, rng.random())
+    net.write(net.require("ac", OBJECT), teal, IS, rng.random(), False)
     _assert_averages_match(net)
     # enough joins, one average each, to outgrow the rows the first
     # average gave the block: twice its start row and members
@@ -317,6 +317,6 @@ def test_fold_rows_follow_joins_new_columns_and_later_writes():
     assert 1 + len(net.members_of(herd)) > 2 * (1 + len(FOLD_START["herd"]))
     # an observe on an existing member's color edge, after an average
     before = net.member_average(herd)
-    net.observe_association(net.require(FOLD_NAMES[7], OBJECT), red, IS)
+    net.write(net.require(FOLD_NAMES[7], OBJECT), red, IS, None, False)
     assert net.member_average(herd) != before
     _assert_averages_match(net)

@@ -175,6 +175,6 @@ def test_generated_instances_learn_as_before(primed, batch):
         _learn_both(net, oracle, [LearningInstance(Situation(), text) for text in PRIMER])
         # a zero-weight feature, as a loaded network may hold, is not inherited
         for n in (net, oracle):
-            n.set_strength(n.require("dog", OBJECT), n.add_concept("blue", ATTRIBUTE), IS, 0.0)
+            n.write(n.require("dog", OBJECT), n.add_concept("blue", ATTRIBUTE), IS, 0.0, False)
         _learn_both(net, oracle, [LearningInstance(Situation(), "vonks are animals")])
     _learn_both(net, oracle, batch)

@@ -41,7 +41,7 @@ def single_edge_network():
     net = ConceptNetwork()
     mom = net.add_concept("mom", OBJECT)
     drink = net.add_concept("drink", "action")
-    net.observe_association(mom, drink, SLOT1)
+    net.write(mom, drink, SLOT1, None, False)
     return net, mom, drink
 
 
@@ -55,7 +55,7 @@ def test_single_edge_matrix():
 def test_slots_expand_to_distinct_columns():
     net, mom, drink = single_edge_network()
     juice = net.add_concept("juice", OBJECT)
-    net.observe_association(juice, drink, SLOT2)
+    net.write(juice, drink, SLOT2, None, False)
     m = build_matrix(net)
     keys = [c.key for c in m.columns]
     assert "drink⊕slot-1" in keys and "drink⊕slot-2" in keys
@@ -72,7 +72,7 @@ def test_isolated_node_has_zero_vector():
     rock = net.add_concept("rock", OBJECT)
     other = net.add_concept("ball", OBJECT)
     red = net.add_concept("red", ATTRIBUTE)
-    net.observe_association(other, red, IS)
+    net.write(other, red, IS, None, False)
     m = build_matrix(net)
     assert not concept_vector(m, rock).any()
 
@@ -91,7 +91,7 @@ def test_matrix_entries_match_get_strength_on_random_probes():
     objs = [net.add_concept(f"obj-{chr(97 + i)}", OBJECT) for i in range(6)]
     attrs = [net.add_concept(f"attr-{chr(97 + i)}", ATTRIBUTE) for i in range(4)]
     for _ in range(40):
-        net.observe_association(rng.choice(objs), rng.choice(attrs), IS)
+        net.write(rng.choice(objs), rng.choice(attrs), IS, None, False)
     m = build_matrix(net)
     for _ in range(200):
         src = rng.choice(objs)
@@ -102,7 +102,7 @@ def test_matrix_entries_match_get_strength_on_random_probes():
 def test_rebuild_after_update_restores_consistency():
     net, mom, drink = single_edge_network()
     stale = build_matrix(net)
-    net.observe_association(mom, drink, SLOT1)
+    net.write(mom, drink, SLOT1, None, False)
     assert weight_at(stale, mom, drink, SLOT1) != net.get_strength(mom, drink, SLOT1)
     fresh = build_matrix(net)
     assert weight_at(fresh, mom, drink, SLOT1) == net.get_strength(mom, drink, SLOT1)
@@ -115,10 +115,10 @@ def test_category_vector_is_the_member_mean():
     x = net.add_concept("x", ATTRIBUTE)
     y = net.add_concept("y", ATTRIBUTE)
     cat = net.add_concept("things", CATEGORY)
-    net.set_strength(a, x, IS, 0.8)
-    net.set_strength(b, y, IS, 0.4)
-    net.assert_generic(a, cat, IS)
-    net.assert_generic(b, cat, IS)
+    net.write(a, x, IS, 0.8, False)
+    net.write(b, y, IS, 0.4, False)
+    net.write(a, cat, IS, 1.0, True)
+    net.write(b, cat, IS, 1.0, True)
     m = build_matrix(net)
     vec = category_vector(m, cat, net.members_of(cat))
     brute = (concept_vector(m, a) + concept_vector(m, b)) / 2.0
@@ -131,7 +131,7 @@ def test_single_member_category_vector_is_that_row():
     net = ConceptNetwork()
     a = net.add_concept("a", OBJECT)
     cat = net.add_concept("c", CATEGORY)
-    net.assert_generic(a, cat, IS)
+    net.write(a, cat, IS, 1.0, True)
     m = build_matrix(net)
     assert np.array_equal(category_vector(m, cat, [a]), concept_vector(m, a))
 
@@ -212,17 +212,17 @@ def test_category_vector_linearity():
     y = net.add_concept("y", ATTRIBUTE)
     a = net.add_concept("a", OBJECT)
     b = net.add_concept("b", OBJECT)
-    net.set_strength(a, x, IS, 0.8)
-    net.set_strength(b, x, IS, 0.4)
-    net.set_strength(b, y, IS, 0.2)
-    net.assert_generic(a, cat, IS)
-    net.assert_generic(b, cat, IS)
+    net.write(a, x, IS, 0.8, False)
+    net.write(b, x, IS, 0.4, False)
+    net.write(b, y, IS, 0.2, False)
+    net.write(a, cat, IS, 1.0, True)
+    net.write(b, cat, IS, 1.0, True)
     m = build_matrix(net)
     mean = category_vector(m, cat, [a, b])
     clone = net.add_concept("clone", OBJECT)
-    net.set_strength(clone, x, IS, float(mean[[c.target for c in m.columns].index(x)]))
-    net.set_strength(clone, y, IS, float(mean[[c.target for c in m.columns].index(y)]))
-    net.assert_generic(clone, cat, IS)
+    net.write(clone, x, IS, float(mean[[c.target for c in m.columns].index(x)]), False)
+    net.write(clone, y, IS, float(mean[[c.target for c in m.columns].index(y)]), False)
+    net.write(clone, cat, IS, 1.0, True)
     m2 = build_matrix(net)
     mean2 = category_vector(m2, cat, net.members_of(cat))
     for col, value in zip(m.columns, mean):
@@ -311,9 +311,9 @@ def test_identical_rows_merge_first_at_distance_zero():
     net = ConceptNetwork()
     red = net.add_concept("red", ATTRIBUTE)
     for name in ("ball", "cup"):
-        net.set_strength(net.add_concept(name, OBJECT), red, IS, 0.5)
+        net.write(net.add_concept(name, OBJECT), red, IS, 0.5, False)
     blue = net.add_concept("blue", ATTRIBUTE)
-    net.set_strength(net.add_concept("box", OBJECT), blue, IS, 0.9)
+    net.write(net.add_concept("box", OBJECT), blue, IS, 0.9, False)
     m = build_matrix(net)
     leaves, tree = agglomerative_order(m)
     names = [c.name for c in leaves]
@@ -366,7 +366,7 @@ def test_cluster_order_is_deterministic():
             src = net.add_concept(f"n-{chr(97 + i)}", OBJECT)
             for a in attrs:
                 if rng.random() < 0.6:
-                    net.set_strength(src, a, IS, round(rng.random(), 3))
+                    net.write(src, a, IS, round(rng.random(), 3), False)
         return agglomerative_order(build_matrix(net))
 
     (leaves1, tree1), (leaves2, tree2) = build(), build()
@@ -378,7 +378,7 @@ def test_merge_tree_text_is_nested_parentheses():
     net = ConceptNetwork()
     red = net.add_concept("red", ATTRIBUTE)
     for name in ("a", "b"):
-        net.set_strength(net.add_concept(name, OBJECT), red, IS, 1.0)
+        net.write(net.add_concept(name, OBJECT), red, IS, 1.0, False)
     m = build_matrix(net)
     leaves, tree = agglomerative_order(m)
     text = clusters_to_text(leaves, tree)
