@@ -124,8 +124,7 @@ class CurriculumSpec:
 
     phases: tuple[str, ...]
     name: str = ""
-    objects: tuple[str, ...] | None = None  # full inventory replacement
-    exclude_objects: tuple[str, ...] = ()
+    objects: tuple[str, ...] = DEFAULT_OBJECTS  # the object inventory, in order
     categories: tuple[tuple[str, tuple[str, ...]], ...] = DEFAULT_CATEGORIES
     actions: tuple[tuple[str, str, str | None, int], ...] = DEFAULT_ACTIONS
     seed: int = 0
@@ -157,14 +156,10 @@ class _Generator:
         self.instances: list[LearningInstance] = []  # the curriculum so far, in order
 
     def _inventory(self) -> list[str]:
-        base = list(self.spec.objects if self.spec.objects is not None else DEFAULT_OBJECTS)
-        excluded = set(self.spec.exclude_objects)
-        out = [o for o in base if o not in excluded]
-        for lemma in out:
-            pos = self.lex.pos_of(lemma)
-            if pos not in (NOUN, MASS_NOUN, PROPER_NOUN):
+        for lemma in self.spec.objects:
+            if self.lex.pos_of(lemma) not in (NOUN, MASS_NOUN, PROPER_NOUN):
                 raise ValueError(f"inventory lexeme {lemma!r} is not a noun in the lexicon")
-        return out
+        return list(self.spec.objects)
 
     def plural(self, lemma: str) -> str:
         surface = self.lex.plural_surface(lemma)
@@ -215,7 +210,7 @@ class _Generator:
             for _ in range(n):
                 out.append(LearningInstance(
                     Situation(entities=(_entity(0, obj, color),)),
-                    f"a {color.replace('-', ' ')} {obj}"))
+                    f"a {self.lex.display(color)} {obj}"))
         return out
 
     def actions_phase(self) -> list[LearningInstance]:
@@ -293,7 +288,7 @@ class _Generator:
                 continue
             out.append(LearningInstance(
                 Situation(entities=(_entity(0, obj, color),)),
-                f"{self.plural(obj)} are {color.replace('-', ' ')}"))
+                f"{self.plural(obj)} are {self.lex.display(color)}"))
         return out
 
     def run(self) -> Curriculum:
@@ -336,11 +331,12 @@ BUILTIN_PHASES: dict[str, tuple[str, ...]] = {
 
 def builtin_spec(name: str, seed: int = 0,
                  exclude_objects: tuple[str, ...] = ()) -> CurriculumSpec:
+    """A built-in curriculum's spec over the default inventory minus exclude_objects."""
     if name not in BUILTIN_PHASES:
         known = ", ".join(sorted(BUILTIN_PHASES))
         raise ValueError(f"unknown builtin curriculum {name!r} (known: {known})")
-    return CurriculumSpec(phases=BUILTIN_PHASES[name], name=name,
-                          exclude_objects=exclude_objects, seed=seed)
+    objects = tuple(o for o in DEFAULT_OBJECTS if o not in exclude_objects)
+    return CurriculumSpec(phases=BUILTIN_PHASES[name], name=name, objects=objects, seed=seed)
 
 
 def builtin_curriculum(name: str, seed: int = 0,

@@ -28,9 +28,6 @@ POS_TAGS = (NOUN, MASS_NOUN, PROPER_NOUN, VERB, COLOR_ADJ, DETERMINER, NUMBER_WO
 
 NOUN_LIKE = (NOUN, MASS_NOUN, PROPER_NOUN)
 
-# surface -> count for number words; None marks vague quantity
-NUMBER_VALUES: dict[str, int | None] = {"two": 2, "three": 3, "four": 4, "many": None}
-
 # one whitespace-separated chunk: letters joined by single hyphens, then
 # optional sentence punctuation
 _CHUNK_RE = re.compile(r"([A-Za-z]+(?:-[A-Za-z]+)*)[.,!?]*")
@@ -295,13 +292,15 @@ def _tokenize(text: str, lex: Lexicon) -> tuple[str, ...]:
 
 @dataclass(frozen=True, slots=True)
 class NounPhrase:
+    """What the learner reads off a noun phrase.
+
+    novel marks a plural whose stem is not in the lexicon (a wug).
+    """
+
     lemma: str
     is_bare_plural: bool = False
-    has_determiner: bool = False
     modifier: str | None = None  # color lemma
-    count: int | None = None
     novel: bool = False
-    mass: bool = False
 
 
 @dataclass(frozen=True, slots=True)
@@ -321,7 +320,8 @@ class Predicate:
 
 @dataclass(frozen=True, slots=True)
 class ParsedUtterance:
-    tokens: tuple[str, ...]
+    """What the learner reads off an utterance; the parse memo's key holds its tokens."""
+
     noun_phrases: tuple[NounPhrase, ...] = ()
     verb: VerbFrame | None = None
     predicate: Predicate | None = None
@@ -332,7 +332,7 @@ def _fail(tokens: tuple[str, ...], i: int, message: str) -> ParseError:
     return ParseError(message, tokens[i] if i < len(tokens) else None, i)
 
 
-def _plural_np(token: str, lex: Lexicon, number: str | None = None) -> NounPhrase | None:
+def _plural_np(token: str, lex: Lexicon, bare: bool = True) -> NounPhrase | None:
     """The phrase a plural noun heads, else None; bare unless after a number word.
 
     A listed plural form reads as its singular lemma. An unlisted word of
@@ -351,8 +351,7 @@ def _plural_np(token: str, lex: Lexicon, number: str | None = None) -> NounPhras
         lemma, novel = e.plural_of, False
     else:
         return None
-    return NounPhrase(lemma, is_bare_plural=number is None, has_determiner=number is not None,
-                      count=NUMBER_VALUES.get(number), novel=novel)
+    return NounPhrase(lemma, is_bare_plural=bare, novel=novel)
 
 
 def _det_np(tokens: tuple[str, ...], i: int, lex: Lexicon,
@@ -370,8 +369,7 @@ def _det_np(tokens: tuple[str, ...], i: int, lex: Lexicon,
     e = lex.get(tokens[i])
     if e is None or e.pos not in (NOUN, MASS_NOUN) or e.plural_of:
         raise _fail(tokens, i, "expected a singular noun after the determiner")
-    return NounPhrase(e.lemma, has_determiner=True, modifier=modifier,
-                      mass=e.pos == MASS_NOUN), i + 1
+    return NounPhrase(e.lemma, modifier=modifier), i + 1
 
 
 def parse(tokens: list[str], lexicon: Lexicon | None = None) -> ParsedUtterance:
@@ -411,7 +409,7 @@ def _parse(tokens: tuple[str, ...], lex: Lexicon) -> ParsedUtterance:
         subject, i = NounPhrase(first.lemma), 1
         tail_error = "expected a verb after the proper noun"
     elif kind == NUMBER_WORD:
-        subject = _plural_np(tokens[1], lex, tokens[0]) if n > 1 else None
+        subject = _plural_np(tokens[1], lex, bare=False) if n > 1 else None
         if subject is None:
             raise _fail(tokens, 1, "expected a plural noun after the number word")
         i, tail_error = 2, None
@@ -450,7 +448,7 @@ def _parse(tokens: tuple[str, ...], lex: Lexicon) -> ParsedUtterance:
                 if o is not None and o.pos == DETERMINER and not bare:
                     obj, i = _det_np(tokens, i, lex, allow_color=False)
                 else:
-                    obj = (NounPhrase(o.lemma, mass=True) if o is not None and o.pos == MASS_NOUN
+                    obj = (NounPhrase(o.lemma) if o is not None and o.pos == MASS_NOUN
                            else _plural_np(tokens[i], lex))
                     if obj is None:
                         raise _fail(tokens, i, "expected a mass noun or plural noun object"
@@ -463,7 +461,7 @@ def _parse(tokens: tuple[str, ...], lex: Lexicon) -> ParsedUtterance:
     if i != n:
         raise _fail(tokens, i, "unexpected trailing token")
     generic = bare and all(np.is_bare_plural for np in nps)
-    return ParsedUtterance(tokens, tuple(nps), verb, predicate, generic)
+    return ParsedUtterance(tuple(nps), verb, predicate, generic)
 
 
 def parse_text(text: str, lexicon: Lexicon | None = None) -> ParsedUtterance:

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from functools import cached_property
 
 from .graph import (
     ACTION,
@@ -75,27 +76,6 @@ class EdgeWrite:
     generic: bool = False
 
 
-class _built_on_first_read:
-    """A report list, built by its method at first read and then kept on the report.
-
-    functools.cached_property does the same, but up to Python 3.11 it takes
-    a lock on every first read: 0.9 us against this descriptor's 0.3 us on
-    CPython 3.11, paid three times for each journal line `learn --trace`
-    writes. The kept value sits in the instance dict, so later reads and
-    assignments never reach this descriptor.
-    """
-
-    def __init__(self, build):
-        self.build = build
-        self.name = build.__name__
-
-    def __get__(self, report, owner=None):
-        if report is None:
-            return self
-        value = report.__dict__[self.name] = self.build(report)
-        return value
-
-
 class ObservationReport:
     """What observe learned from one instance: its journal entry.
 
@@ -104,10 +84,12 @@ class ObservationReport:
     facts: the concepts it created, one (src, label, dst, old, new,
     generic) tuple per edge write with the weights that write returned,
     and the instance's frozen parse and scene. created (concept keys),
-    edges (EdgeWrite) and mismatches are built from those facts on first
-    read and cached, so a caller that reads none of them pays one append
-    per created node and per write, and never runs the scene check. A
-    report made without a parse has no scene to check: no mismatches.
+    edges (EdgeWrite) and mismatches are cached properties built from
+    those facts on first read, so a caller that reads none of them pays
+    one append per created node and per write, and never runs the scene
+    check. A cached value sits in the instance dict, so it can also be
+    assigned. A report made without a parse has no scene to check: no
+    mismatches.
     """
 
     def __init__(self, utterance: str, is_generic: bool,
@@ -118,16 +100,16 @@ class ObservationReport:
         self._writes: list[tuple[Concept, str, Concept, float, float, bool]] = []
         self._scene = (parsed, situation)
 
-    @_built_on_first_read
+    @cached_property
     def created(self) -> list[str]:
         return [node.key for node in self._nodes]
 
-    @_built_on_first_read
+    @cached_property
     def edges(self) -> list[EdgeWrite]:
         return [EdgeWrite(src.key, label, dst.key, old, new, generic)
                 for src, label, dst, old, new, generic in self._writes]
 
-    @_built_on_first_read
+    @cached_property
     def mismatches(self) -> list[str]:
         parsed, situation = self._scene
         return [] if parsed is None else _scene_mismatches(parsed, situation)
@@ -170,9 +152,13 @@ def _link(net: ConceptNetwork, report: ObservationReport, src: Concept, dst: Con
     """The learner's one edge write, journalled in the report.
 
     weight None applies the plateauing update; otherwise the weight and
-    generic flag are stored.
+    generic flag are stored. The journal holds the edge's flag after the
+    write: a plateauing write leaves a generic edge generic at 1.0, so only
+    a plateauing write that ends at 1.0 needs to look the flag up.
     """
     old, new = net.write(src, dst, label, weight, generic)
+    if weight is None and new == 1.0:
+        generic = net.edge(src, dst, label).generic_origin
     report._writes.append((src, label, dst, old, new, generic))
 
 

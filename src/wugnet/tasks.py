@@ -23,7 +23,7 @@ from .curriculum import (
     builtin_spec,
     generate,
 )
-from .graph import ATTRIBUTE, CATEGORY, IS, OBJECT, ConceptNetwork, diff_networks
+from .graph import ATTRIBUTE, CATEGORY, IS, LEARNING_RATE, OBJECT, ConceptNetwork, diff_networks
 from .learner import Entity, LearningInstance, Situation, learn_curriculum, observe
 from .lang import default_lexicon
 from .matrix import build_matrix, category_vector, concept_vector, cosine_similarity
@@ -114,7 +114,7 @@ def run_task1(seed: int = 0) -> TaskResult:
     for obj, color in DEFAULT_COLOR_GENERICS:
         observe(net, LearningInstance(
             Situation(entities=(Entity("e0", obj, color),)),
-            f"{lex.plural_surface(obj)} are {color.replace('-', ' ')}"))
+            f"{lex.plural_surface(obj)} are {lex.display(color)}"))
     after = {pair: strength(*pair) for pair in pairs}
 
     rows = [(obj, color, before[(obj, color)], after[(obj, color)]) for obj, color in pairs]
@@ -126,7 +126,7 @@ def run_task1(seed: int = 0) -> TaskResult:
         f"{before[(obj, color)]:.17g} -> 1"
         for obj, color in generic_pairs
     }
-    plateau = {pair: 1.0 - 0.8 ** counts[pair] for pair in pairs}
+    plateau = {pair: 1.0 - (1.0 - LEARNING_RATE) ** counts[pair] for pair in pairs}
     checks = [
         ("before strengths follow the plateau closed form",
          all(abs(before[p] - plateau[p]) < 1e-9 for p in pairs)),

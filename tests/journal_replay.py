@@ -3,11 +3,8 @@
 Each journal line is one observation report (ObservationReport.to_json_line).
 replay creates the line's `created` concepts, then stores each journalled
 write's new weight and generic flag with ConceptNetwork.write. JSON floats
-round-trip exactly, so the result equals the network the journal came from.
-
-One case is out of its reach: a plain write that lands on a generic edge
-(generic false, old == new == 1.0) leaves the edge generic, but its line
-cannot say so, and replay would clear the flag.
+round-trip exactly, and each write journals the edge's flag as the write
+left it, so the result equals the network the journal came from.
 
 Run as a script to replay a journal file into a network file:
 

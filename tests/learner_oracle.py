@@ -4,6 +4,8 @@ observe, process_generic and _membership_generic are the implementations
 that learner.observe's single walk replaced, with their edge helpers.
 Tests compare networks and reports against them exactly. The scene check
 and the report types are shared with wugnet.learner; they did not change.
+One fix is carried over: a plateauing write journals the edge's generic
+flag as the write left it, so a plain write on a generic edge says generic.
 """
 
 from wugnet.graph import ACTION, ATTRIBUTE, CATEGORY, IS, OBJECT, SLOT1, SLOT2
@@ -21,7 +23,8 @@ def _ensure(net, report, name, kind):
 
 def _observe_edge(net, report, src, dst, label):
     old, new = net.write(src, dst, label, None, False)
-    report.edges.append(EdgeWrite(src.key, label, dst.key, old, new))
+    generic = net.edge(src, dst, label).generic_origin
+    report.edges.append(EdgeWrite(src.key, label, dst.key, old, new, generic))
 
 
 def _assert_edge(net, report, src, dst, label):
@@ -31,9 +34,10 @@ def _assert_edge(net, report, src, dst, label):
 
 def observe(net, instance, lexicon=None):
     lex = lexicon or default_lexicon()
-    parsed = parse(tokenize(instance.utterance, lex), lex)
+    tokens = tokenize(instance.utterance, lex)
+    parsed = parse(tokens, lex)
     if parsed.is_generic:
-        return process_generic(net, parsed, instance.situation)
+        return process_generic(net, parsed, instance.situation, " ".join(tokens))
 
     report = ObservationReport(instance.utterance, is_generic=False)
     report.mismatches = _scene_mismatches(parsed, instance.situation)
@@ -50,10 +54,11 @@ def observe(net, instance, lexicon=None):
     return report
 
 
-def process_generic(net, parsed, situation):
+def process_generic(net, parsed, situation, text):
+    """Learn a generic; its report names the utterance as text, its tokens joined."""
     if not parsed.is_generic:
         raise ValueError("process_generic expects a generic utterance")
-    report = ObservationReport(" ".join(parsed.tokens), is_generic=True)
+    report = ObservationReport(text, is_generic=True)
     report.mismatches = _scene_mismatches(parsed, situation)
 
     if parsed.verb is not None:

@@ -1,12 +1,14 @@
 """Reference implementations of the tokenizer and the template parser.
 
 These are the original lang.tokenize and lang.parse (with its
-_resolve_plural helper), kept verbatim. Tests compare the single-walk
-parser against this one on every short token sequence and on every
-built-in curriculum, exactly: same ParsedUtterance, or the same error
-message, token and position. The old tokenizer also split words at `.,!?`
-and lone hyphens anywhere in a chunk; it is kept to check that every
-curriculum utterance still tokenizes the same.
+_resolve_plural helper), kept verbatim but for the NounPhrase and
+ParsedUtterance fields the learner never read (number counts, mass and
+determiner flags, the token copy), which lang no longer builds. Tests
+compare the single-walk parser against this one on every short token
+sequence and on every built-in curriculum, exactly: same ParsedUtterance,
+or the same error message, token and position. The old tokenizer also
+split words at `.,!?` and lone hyphens anywhere in a chunk; it is kept to
+check that every curriculum utterance still tokenizes the same.
 """
 
 from __future__ import annotations
@@ -20,7 +22,6 @@ from wugnet.lang import (
     MASS_NOUN,
     NOUN,
     NOUN_LIKE,
-    NUMBER_VALUES,
     NUMBER_WORD,
     PROPER_NOUN,
     VERB,
@@ -117,16 +118,14 @@ def parse(tokens: list[str], lexicon: Lexicon | None = None) -> ParsedUtterance:
         e = lex.get(tokens[i])
         if e is None or e.pos not in (NOUN, MASS_NOUN) or e.plural_of:
             raise fail(i, "expected a singular noun after the determiner")
-        np = NounPhrase(e.lemma, has_determiner=True, modifier=modifier,
-                        mass=e.pos == MASS_NOUN)
-        return np, i + 1
+        return NounPhrase(e.lemma, modifier=modifier), i + 1
 
     def object_np(i: int) -> tuple[NounPhrase, int]:
         e = lex.get(tokens[i])
         if e is not None and e.pos == DETERMINER:
             return det_np(i, allow_color=False)
         if e is not None and e.pos == MASS_NOUN:
-            return NounPhrase(e.lemma, mass=True), i + 1
+            return NounPhrase(e.lemma), i + 1
         pl = _resolve_plural(tokens[i], lex)
         if pl is not None:
             lemma, novel = pl
@@ -176,8 +175,7 @@ def parse(tokens: list[str], lexicon: Lexicon | None = None) -> ParsedUtterance:
         if pl is None:
             raise fail(1, "expected a plural noun after the number word")
         lemma, novel = pl
-        nps.append(NounPhrase(lemma, has_determiner=True, novel=novel,
-                              count=NUMBER_VALUES.get(tokens[0])))
+        nps.append(NounPhrase(lemma, novel=novel))
         end_or_die(2)
 
     else:
@@ -212,7 +210,7 @@ def parse(tokens: list[str], lexicon: Lexicon | None = None) -> ParsedUtterance:
                 if i < len(tokens):
                     e2 = lex.get(tokens[i])
                     if e2 is not None and e2.pos == MASS_NOUN:
-                        nps.append(NounPhrase(e2.lemma, mass=True))
+                        nps.append(NounPhrase(e2.lemma))
                     else:
                         opl = _resolve_plural(tokens[i], lex)
                         if opl is None:
@@ -226,4 +224,4 @@ def parse(tokens: list[str], lexicon: Lexicon | None = None) -> ParsedUtterance:
                 raise fail(1, "expected 'are' or a verb after the bare plural")
 
     generic = bool(nps) and all(np.is_bare_plural for np in nps)
-    return ParsedUtterance(tuple(tokens), tuple(nps), verb, predicate, generic)
+    return ParsedUtterance(tuple(nps), verb, predicate, generic)

@@ -1,22 +1,31 @@
-import json
-
 import pytest
 
 from journal_replay import replay
+from wugnet.cli import main
 from wugnet.curriculum import BUILTIN_PHASES, builtin_curriculum
-from wugnet.graph import ConceptNetwork, network_to_text
+from wugnet.graph import ConceptNetwork, load_network, network_to_text
 from wugnet.learner import learn_curriculum, observe
 from wugnet.tasks import NOVEL_OBJECTS, TASK2_CURRICULA, membership_instance
 
+# A plain utterance after the generic that pinned its edge: the third
+# write leaves ball -is-> red generic at 1.0, and its journal line must
+# say so for replay to keep the flag.
+PLAIN_AFTER_GENERIC = """\
+instance
+  scene: entity e0 ball color=red
+  say: a red ball
 
-def _plain_writes_at_one(lines) -> int:
-    """Journalled writes whose generic flag replay cannot restore (see journal_replay)."""
-    return sum(not generic and old == new == 1.0
-               for line in lines for *_, old, new, generic in json.loads(line)["edges"])
+instance
+  scene: entity e0 ball color=red
+  say: balls are red
+
+instance
+  scene: entity e0 ball color=red
+  say: a red ball
+"""
 
 
 def _assert_replays(lines, net):
-    assert _plain_writes_at_one(lines) == 0
     replayed = replay(lines)
     assert replayed == net
     assert network_to_text(replayed) == network_to_text(net)
@@ -35,3 +44,15 @@ def test_trace_journal_replays_to_the_learned_network(name, seed):
         for novel, category in NOVEL_OBJECTS:
             lines.append(observe(net, membership_instance(novel, category)).to_json_line(len(lines)))
         _assert_replays(lines, net)
+
+
+def test_a_plain_write_on_a_generic_edge_replays_generic(tmp_path, capsys):
+    curriculum = tmp_path / "plain-after-generic.curriculum"
+    curriculum.write_text(PLAIN_AFTER_GENERIC, encoding="utf-8")
+    network = tmp_path / "net.txt"
+    assert main(["learn", "--curriculum", str(curriculum), "--network", str(network),
+                 "--trace"]) == 0
+    capsys.readouterr()
+    net = load_network(network)
+    assert "generic:1" in network.read_text(encoding="utf-8")
+    _assert_replays((tmp_path / "net.txt.trace.jsonl").read_text().splitlines(), net)

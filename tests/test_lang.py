@@ -43,7 +43,7 @@ def test_parse_determiner_subject_is_not_generic():
     p = parse_text("a bear sits")
     assert not p.is_generic
     assert p.verb.lemma == "sit"
-    assert p.noun_phrases[0].has_determiner
+    assert not p.noun_phrases[0].is_bare_plural
 
 
 def test_parse_novel_plural_subject():
@@ -65,8 +65,9 @@ def test_parse_color_predicate():
 def test_number_words_block_genericity():
     p = parse_text("two balls")
     assert not p.is_generic
-    assert p.noun_phrases[0].count == 2
-    assert parse_text("many cookies").noun_phrases[0].count is None
+    assert p.noun_phrases[0].lemma == "ball" and not p.noun_phrases[0].is_bare_plural
+    p = parse_text("many cookies")
+    assert not p.is_generic and not p.noun_phrases[0].is_bare_plural
 
 
 def test_proper_noun_plural_is_generic():
@@ -85,7 +86,7 @@ def test_determiner_color_noun():
 def test_transitive_frames():
     p = parse_text("Mom drinks juice")
     assert p.verb.lemma == "drink"
-    assert p.noun_phrases[1].lemma == "juice" and p.noun_phrases[1].mass
+    assert p.noun_phrases[1].lemma == "juice" and not p.noun_phrases[1].is_bare_plural
     assert not p.is_generic  # the mass object is a recognized non-plural noun
 
     p2 = parse_text("a baby eats a cookie")

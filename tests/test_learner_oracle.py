@@ -5,7 +5,8 @@ field by field; a failing instance must raise the same error type and
 message. The walk changed the journal in two stated ways, asserted here
 directly: a report's utterance is the instance's text as written, and a
 transitive verb generic lists the nodes it creates in the plain path's
-order (noun phrases, then the action).
+order (noun phrases, then the action). A fix both share is asserted here
+too: a plain write on a generic edge journals the edge as generic.
 """
 
 import pytest
@@ -94,6 +95,15 @@ def test_transitive_verb_generic_creates_nodes_in_plain_order():
     assert report.created == ["object/bear", "object/cookie", "action/eat"]
     assert oracle.utterance == "bears eat cookies"
     assert report.utterance == "Bears eat cookies"
+
+
+def test_a_plain_write_on_a_generic_edge_journals_generic():
+    instances = [LearningInstance(Situation(), text)
+                 for text in ("a red dog", "dogs are red", "a red dog")]
+    _learn_both(ConceptNetwork(), ConceptNetwork(), instances)
+    net = ConceptNetwork()
+    last = [observe(net, instance) for instance in instances][-1]
+    assert [(w.old, w.new, w.generic) for w in last.edges] == [(1.0, 1.0, True)]
 
 
 # Known count nouns, categories, a proper noun and novel nouns. The primer
