@@ -339,9 +339,8 @@ def builtin_spec(name: str, seed: int = 0,
     return CurriculumSpec(phases=BUILTIN_PHASES[name], name=name, objects=objects, seed=seed)
 
 
-def builtin_curriculum(name: str, seed: int = 0,
-                       exclude_objects: tuple[str, ...] = ()) -> Curriculum:
-    return generate(builtin_spec(name, seed, exclude_objects))
+def builtin_curriculum(name: str, seed: int = 0) -> Curriculum:
+    return generate(builtin_spec(name, seed))
 
 
 # -- file format ----------------------------------------------------------

@@ -241,12 +241,8 @@ class ConceptNetwork:
     # -- edges ---------------------------------------------------------
 
     def edges(self) -> list[Edge]:
-        """All edges, sorted by source, target (each by kind, then name) and label."""
-        edges: list[Edge] = []
-        for src in sorted(self._out):
-            out = self._out[src]
-            edges.extend(out[key] for key in sorted(out))
-        return edges
+        """All edges, unsorted: grouped by source, in the order the store holds them."""
+        return [e for out in self._out.values() for e in out.values()]
 
     def edge_count(self) -> int:
         """Number of edges, counted without building or sorting them."""
@@ -256,15 +252,16 @@ class ConceptNetwork:
         return self._out.get(src, {}).get((dst, label))
 
     def write(self, src: Concept, dst: Concept, label: str, weight: float | None,
-              generic: bool) -> tuple[float, float]:
-        """The one edge write path; returns the edge's (old, new) weight.
+              generic: bool) -> tuple[float, float, bool]:
+        """The one edge write path; returns the edge's (old, new) weight and its generic flag.
 
         weight None applies the plateauing update a <- a + r * (1 - a),
-        which leaves a generic edge at 1.0; otherwise the weight and
-        generic flag are stored. old is 0.0 for an edge this write
-        creates. Nothing changes unless every check passes. Each check is
-        one probe; only a failed probe calls the helper that raises the
-        error naming it.
+        which leaves a generic edge at 1.0 and its flag as it was; it
+        cannot set the flag. Otherwise the weight and generic flag are
+        stored. old is 0.0 for an edge this write creates; the flag is the
+        edge's after the write. Nothing changes unless every check passes.
+        Each check is one probe; only a failed probe calls the helper that
+        raises the error naming it.
         """
         out = self._out.get(src)
         if out is None:
@@ -278,6 +275,8 @@ class ConceptNetwork:
                 raise ValueError(f"edge weight {weight} outside [0, 1]")
             if generic and weight != 1.0:
                 raise ValueError("generic edges must have weight 1.0")
+        elif generic:
+            raise ValueError("a plateauing write cannot mark an edge generic")
         e = out.get((dst, label))
         if e is None:
             e = out[(dst, label)] = Edge(src, dst, label)
@@ -294,7 +293,7 @@ class ConceptNetwork:
         else:
             e.weight = weight
             e.generic_origin = generic
-        return old, e.weight
+        return old, e.weight, e.generic_origin
 
     def get_strength(self, src: Concept, dst: Concept, label: str) -> float:
         """Current weight of src->dst, 0.0 when no such edge exists."""
@@ -459,7 +458,7 @@ def diff_networks(before: ConceptNetwork, after: ConceptNetwork) -> list[str]:
 # -- persistence --------------------------------------------------------
 
 def network_to_text(net: ConceptNetwork) -> str:
-    """Header, node lines sorted by kind and name, then edge lines in edges() order.
+    """Header, nodes sorted by kind and name, then edges sorted by source, target and label.
 
     Each node's key is formatted once; edges are walked per source in the
     node order, each source's out-edges sorted by (target, label).

@@ -304,26 +304,22 @@ class NounPhrase:
 
 
 @dataclass(frozen=True, slots=True)
-class VerbFrame:
-    lemma: str
-    subject: int
-    object: int | None = None
-
-
-@dataclass(frozen=True, slots=True)
 class Predicate:
-    subject: int
+    """`are` and its complement; a plural-noun complement is also noun phrase 1."""
+
     complement: str  # color lemma or plural-noun lemma
     complement_is_color: bool
-    complement_index: int | None = None
 
 
 @dataclass(frozen=True, slots=True)
 class ParsedUtterance:
-    """What the learner reads off an utterance; the parse memo's key holds its tokens."""
+    """What the learner reads off an utterance; the parse memo's key holds its tokens.
+
+    The subject is noun phrase 0, and a verb's object, if any, noun phrase 1.
+    """
 
     noun_phrases: tuple[NounPhrase, ...] = ()
-    verb: VerbFrame | None = None
+    verb: str | None = None  # verb lemma
     predicate: Predicate | None = None
     is_generic: bool = False
 
@@ -431,18 +427,17 @@ def _parse(tokens: tuple[str, ...], lex: Lexicon) -> ParsedUtterance:
                 raise _fail(tokens, i, "expected a complement after 'are'")
             c = lex.get(tokens[i])
             if c is not None and c.pos == COLOR_ADJ:
-                predicate = Predicate(0, c.lemma, complement_is_color=True)
+                predicate = Predicate(c.lemma, complement_is_color=True)
             else:
                 complement = _plural_np(tokens[i], lex)
                 if complement is None:
                     raise _fail(tokens, i, "expected a color or plural noun complement")
                 nps.append(complement)
-                predicate = Predicate(0, complement.lemma, complement_is_color=False,
-                                      complement_index=1)
+                predicate = Predicate(complement.lemma, complement_is_color=False)
             i += 1
         elif pos == VERB:
             i += 1
-            verb = VerbFrame(e.lemma, 0, 1 if i < n else None)
+            verb = e.lemma
             if i < n:
                 o = lex.get(tokens[i])
                 if o is not None and o.pos == DETERMINER and not bare:

@@ -12,6 +12,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from functools import cached_property
+from typing import NamedTuple
 
 from .graph import (
     ACTION,
@@ -66,8 +67,7 @@ class LearningInstance:
     utterance: str
 
 
-@dataclass
-class EdgeWrite:
+class EdgeWrite(NamedTuple):
     source: str  # concept keys (kind/name)
     label: str
     target: str
@@ -82,8 +82,8 @@ class ObservationReport:
     The report is complete once observe returns; nothing read from it
     later depends on the network. While observe runs it records only raw
     facts: the concepts it created, one (src, label, dst, old, new,
-    generic) tuple per edge write with the weights that write returned,
-    and the instance's frozen parse and scene. created (concept keys),
+    generic) tuple per edge write with what that write returned, and the
+    instance's frozen parse and scene. created (concept keys),
     edges (EdgeWrite) and mismatches are cached properties built from
     those facts on first read, so a caller that reads none of them pays
     one append per created node and per write, and never runs the scene
@@ -133,8 +133,7 @@ class ObservationReport:
             "utterance": self.utterance,
             "generic": self.is_generic,
             "created": self.created,
-            "edges": [[w.source, w.label, w.target, w.old, w.new, w.generic]
-                      for w in self.edges],
+            "edges": self.edges,
             "mismatches": self.mismatches,
         }, ensure_ascii=False)
 
@@ -149,16 +148,12 @@ def _ensure(net: ConceptNetwork, report: ObservationReport, name: str, kind: str
 
 def _link(net: ConceptNetwork, report: ObservationReport, src: Concept, dst: Concept,
           label: str, weight: float | None, generic: bool = False) -> None:
-    """The learner's one edge write, journalled in the report.
+    """The learner's one edge write, journalled in the report with the edge's flag after it.
 
     weight None applies the plateauing update; otherwise the weight and
-    generic flag are stored. The journal holds the edge's flag after the
-    write: a plateauing write leaves a generic edge generic at 1.0, so only
-    a plateauing write that ends at 1.0 needs to look the flag up.
+    generic flag are stored.
     """
-    old, new = net.write(src, dst, label, weight, generic)
-    if weight is None and new == 1.0:
-        generic = net.edge(src, dst, label).generic_origin
+    old, new, generic = net.write(src, dst, label, weight, generic)
     report._writes.append((src, label, dst, old, new, generic))
 
 
@@ -171,24 +166,21 @@ def _scene_mismatches(parsed: ParsedUtterance, situation: Situation) -> list[str
     """
     out: list[str] = []
     lemmas = {e.lemma for e in situation.entities}
-    complement_idx = (parsed.predicate.complement_index
-                      if parsed.predicate is not None else None)
-    for i, np in enumerate(parsed.noun_phrases):
-        if i == complement_idx:
-            continue
+    predicate = parsed.predicate
+    # a predicate's noun phrase 1, if any, is its category complement
+    for np in parsed.noun_phrases[:1] if predicate is not None else parsed.noun_phrases:
         if np.lemma not in lemmas:
             out.append(f"no entity '{np.lemma}' in scene")
         elif np.modifier is not None and not any(
                 e.lemma == np.lemma and e.color == np.modifier for e in situation.entities):
             out.append(f"no {np.modifier} '{np.lemma}' in scene")
-    if parsed.predicate is not None and parsed.predicate.complement_is_color:
-        subject = parsed.noun_phrases[parsed.predicate.subject].lemma
-        color = parsed.predicate.complement
+    if predicate is not None and predicate.complement_is_color:
+        subject = parsed.noun_phrases[0].lemma
+        color = predicate.complement
         if not any(e.lemma == subject and e.color == color for e in situation.entities):
             out.append(f"no {color} '{subject}' in scene")
-    if parsed.verb is not None and not any(
-            a.verb == parsed.verb.lemma for a in situation.actions):
-        out.append(f"no '{parsed.verb.lemma}' action in scene")
+    if parsed.verb is not None and not any(a.verb == parsed.verb for a in situation.actions):
+        out.append(f"no '{parsed.verb}' action in scene")
     return out
 
 
@@ -216,12 +208,12 @@ def observe(net: ConceptNetwork, instance: LearningInstance,
              for np, node in zip(parsed.noun_phrases, nodes) if np.modifier is not None]
     if predicate is not None:
         color = _ensure(net, report, predicate.complement, ATTRIBUTE)
-        links.append((nodes[predicate.subject], color, IS))
+        links.append((nodes[0], color, IS))
     if parsed.verb is not None:
-        action = _ensure(net, report, parsed.verb.lemma, ACTION)
-        links.append((nodes[parsed.verb.subject], action, SLOT1))
-        if parsed.verb.object is not None:
-            links.append((nodes[parsed.verb.object], action, SLOT2))
+        action = _ensure(net, report, parsed.verb, ACTION)
+        links.append((nodes[0], action, SLOT1))
+        if len(nodes) > 1:
+            links.append((nodes[1], action, SLOT2))
     weight = 1.0 if parsed.is_generic else None
     for src, dst, label in links:
         _link(net, report, src, dst, label, weight, parsed.is_generic)
@@ -237,7 +229,7 @@ def _membership_generic(net: ConceptNetwork, report: ObservationReport,
     features. Both sides unknown, or a side whose name another kind already
     holds, is UnlearnableGeneric.
     """
-    subject_lemma = parsed.noun_phrases[parsed.predicate.subject].lemma
+    subject_lemma = parsed.noun_phrases[0].lemma
     complement_lemma = parsed.predicate.complement
 
     subject = net.get(subject_lemma, OBJECT)

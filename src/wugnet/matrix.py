@@ -101,11 +101,7 @@ def category_vector(matrix: ConceptMatrix, category: Concept,
     kept = matrix._category_vectors.get(category)
     if kept is not None and kept[0] == members:
         return kept[1].copy()
-    try:
-        rows = list(map(matrix._row_index.__getitem__, members))
-    except KeyError:
-        rows = [matrix.row_of(m) for m in members]  # raises naming the unknown concept
-    vec = matrix.weights[rows].mean(axis=0)
+    vec = matrix.weights[[matrix.row_of(m) for m in members]].mean(axis=0)
     matrix._category_vectors[category] = (members, vec)
     return vec.copy()
 

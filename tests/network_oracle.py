@@ -2,9 +2,11 @@
 
 network_to_text and network_from_text below are the versions the one-pass
 codec in wugnet.graph replaced, kept word for word but for the edge store,
-which now calls ConceptNetwork.write. Tests compare the two codecs: the
-same text for every network, and for every file the same network or the
-same NetworkFormatError message and line.
+which now calls ConceptNetwork.write, and the edge order: edges() no longer
+sorts, so the old codec sorts them by (source, target, label) as edges()
+once did. Tests compare the two codecs: the same text for every network,
+and for every file the same network or the same NetworkFormatError
+message and line.
 """
 
 from wugnet.graph import Concept, ConceptNetwork, NetworkFormatError
@@ -14,7 +16,7 @@ def network_to_text(net: ConceptNetwork) -> str:
     lines = ["conceptnet v1"]
     for node in net.concepts():
         lines.append(f"node {node.kind} {node.name}")
-    for e in net.edges():
+    for e in sorted(net.edges(), key=lambda e: (e.source, e.target, e.label)):
         lines.append(
             f"edge {e.source.key} {e.label} {e.target.key} "
             f"{e.weight:.17g} generic:{int(e.generic_origin)}"

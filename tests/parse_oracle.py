@@ -3,7 +3,10 @@
 These are the original lang.tokenize and lang.parse (with its
 _resolve_plural helper), kept verbatim but for the NounPhrase and
 ParsedUtterance fields the learner never read (number counts, mass and
-determiner flags, the token copy), which lang no longer builds. Tests
+determiner flags, the token copy), which lang no longer builds, and for
+the verb frame's and predicate's noun-phrase indexes, which were constant:
+the subject is always noun phrase 0, and a verb's object or a noun
+complement noun phrase 1. The verb is now its lemma. Tests
 compare the single-walk parser against this one on every short token
 sequence and on every built-in curriculum, exactly: same ParsedUtterance,
 or the same error message, token and position. The old tokenizer also
@@ -30,7 +33,6 @@ from wugnet.lang import (
     ParsedUtterance,
     ParseError,
     Predicate,
-    VerbFrame,
     default_lexicon,
 )
 
@@ -133,7 +135,7 @@ def parse(tokens: list[str], lexicon: Lexicon | None = None) -> ParsedUtterance:
         raise fail(i, "expected an object noun phrase")
 
     nps: list[NounPhrase] = []
-    verb: VerbFrame | None = None
+    verb: str | None = None
     predicate: Predicate | None = None
 
     first = lex.get(tokens[0])
@@ -145,12 +147,11 @@ def parse(tokens: list[str], lexicon: Lexicon | None = None) -> ParsedUtterance:
             ev = lex.get(tokens[i])
             if ev is None or ev.pos != VERB:
                 raise fail(i, "expected a verb")
-            verb = VerbFrame(ev.lemma, subject=0)
+            verb = ev.lemma
             i += 1
             if i < len(tokens):
                 obj, i = object_np(i)
                 nps.append(obj)
-                verb = VerbFrame(verb.lemma, 0, 1)
             end_or_die(i)
 
     elif first is not None and first.pos == PROPER_NOUN:
@@ -160,12 +161,11 @@ def parse(tokens: list[str], lexicon: Lexicon | None = None) -> ParsedUtterance:
         ev = lex.get(tokens[1])
         if ev is None or ev.pos != VERB:
             raise fail(1, "expected a verb after the proper noun")
-        verb = VerbFrame(ev.lemma, subject=0)
+        verb = ev.lemma
         i = 2
         if i < len(tokens):
             obj, i = object_np(i)
             nps.append(obj)
-            verb = VerbFrame(verb.lemma, 0, 1)
         end_or_die(i)
 
     elif first is not None and first.pos == NUMBER_WORD:
@@ -193,7 +193,7 @@ def parse(tokens: list[str], lexicon: Lexicon | None = None) -> ParsedUtterance:
                     raise fail(2, "expected a complement after 'are'")
                 ec = lex.get(tokens[2])
                 if ec is not None and ec.pos == COLOR_ADJ:
-                    predicate = Predicate(0, ec.lemma, complement_is_color=True)
+                    predicate = Predicate(ec.lemma, complement_is_color=True)
                     end_or_die(3)
                 else:
                     cpl = _resolve_plural(tokens[2], lex)
@@ -201,11 +201,10 @@ def parse(tokens: list[str], lexicon: Lexicon | None = None) -> ParsedUtterance:
                         raise fail(2, "expected a color or plural noun complement")
                     clemma, cnovel = cpl
                     nps.append(NounPhrase(clemma, is_bare_plural=True, novel=cnovel))
-                    predicate = Predicate(0, clemma, complement_is_color=False,
-                                          complement_index=1)
+                    predicate = Predicate(clemma, complement_is_color=False)
                     end_or_die(3)
             elif e1 is not None and e1.pos == VERB:
-                verb = VerbFrame(e1.lemma, subject=0)
+                verb = e1.lemma
                 i = 2
                 if i < len(tokens):
                     e2 = lex.get(tokens[i])
@@ -217,7 +216,6 @@ def parse(tokens: list[str], lexicon: Lexicon | None = None) -> ParsedUtterance:
                             raise fail(i, "expected a mass noun or plural noun object")
                         olemma, onovel = opl
                         nps.append(NounPhrase(olemma, is_bare_plural=True, novel=onovel))
-                    verb = VerbFrame(verb.lemma, 0, 1)
                     i += 1
                 end_or_die(i)
             else:

@@ -132,7 +132,7 @@ def test_builtins_learn_one_network_under_any_order_the_generator_could_emit(nam
 
 
 def test_exclusions_remove_every_mention():
-    cur = builtin_curriculum("objects-and-kinds", exclude_objects=("chicken",))
+    cur = generate(builtin_spec("objects-and-kinds", exclude_objects=("chicken",)))
     for inst in cur.instances:
         assert "chicken" not in inst.utterance
         assert all(e.lemma != "chicken" for e in inst.situation.entities)

@@ -83,14 +83,16 @@ def test_observation_is_a_fixed_point_at_one(net):
 
 
 def test_assert_generic_maximizes_and_sticks(net):
+    # write returns (old, new, the edge's generic flag after the write)
     a = net.add_concept("watermelon", OBJECT)
     g = net.add_concept("green", ATTRIBUTE)
-    net.write(a, g, IS, None, False)
+    assert net.write(a, g, IS, None, False) == (0.0, 0.2, False)
     assert net.get_strength(a, g, IS) == pytest.approx(0.2)
-    assert net.write(a, g, IS, 1.0, True)[1] == 1.0
-    assert net.write(a, g, IS, 1.0, True)[1] == 1.0
-    assert net.write(a, g, IS, None, False)[1] == 1.0
+    assert net.write(a, g, IS, 1.0, True) == (0.2, 1.0, True)
+    assert net.write(a, g, IS, 1.0, True) == (1.0, 1.0, True)
+    assert net.write(a, g, IS, None, False) == (1.0, 1.0, True)
     assert net.edge(a, g, IS).generic_origin
+    assert net.write(a, g, IS, 0.5, False) == (1.0, 0.5, False)
 
 
 def test_generic_from_zero(net):
@@ -121,7 +123,7 @@ def test_each_label_and_target_kind_pair_is_checked(net, label, kind):
     dst = net.add_concept("zed", kind)
     valid = {SLOT1: {ACTION}, SLOT2: {ACTION}, IS: {ATTRIBUTE, CATEGORY}}.get(label, set())
     if kind in valid:
-        assert net.write(src, dst, label, 0.5, False) == (0.0, 0.5)
+        assert net.write(src, dst, label, 0.5, False) == (0.0, 0.5, False)
     else:
         with pytest.raises(EdgeRuleError):
             net.write(src, dst, label, 0.5, False)
@@ -192,6 +194,8 @@ def test_set_strength_validates(net):
         (ValueError, (a, b, IS, 1.5, False)),
         (ValueError, (a, b, IS, float("nan"), False)),
         (ValueError, (a, b, IS, 0.5, True)),
+        (ValueError, (a, b, IS, None, True)),  # a plateauing write cannot set the flag
+        (ValueError, (d, animal, IS, None, True)),
         (ValueError, (d, animal, IS, 1.5, False)),
         (ValueError, (c, animal, IS, 1.5, False)),
         (EdgeRuleError, (a, b, SLOT1, 0.5, False)),

@@ -8,6 +8,7 @@ from wugnet.lang import (
     LexiconFormatError,
     ParseError,
     default_lexicon,
+    load_lexicon,
     parse,
     parse_text,
     tokenize,
@@ -34,7 +35,7 @@ def test_tokenize_joins_multiword_colors():
 def test_parse_bare_plural_verb_is_generic():
     p = parse_text("bears sit")
     assert p.is_generic
-    assert p.verb.lemma == "sit"
+    assert p.verb == "sit"
     assert p.noun_phrases[0].lemma == "bear"
     assert p.noun_phrases[0].is_bare_plural
 
@@ -42,14 +43,14 @@ def test_parse_bare_plural_verb_is_generic():
 def test_parse_determiner_subject_is_not_generic():
     p = parse_text("a bear sits")
     assert not p.is_generic
-    assert p.verb.lemma == "sit"
+    assert p.verb == "sit"
     assert not p.noun_phrases[0].is_bare_plural
 
 
 def test_parse_novel_plural_subject():
     p = parse_text("wugs are animals")
     assert p.is_generic
-    subject = p.noun_phrases[p.predicate.subject]
+    subject = p.noun_phrases[0]
     assert subject.lemma == "wug" and subject.novel
     assert p.predicate.complement == "animal"
     assert not p.predicate.complement_is_color
@@ -85,12 +86,12 @@ def test_determiner_color_noun():
 
 def test_transitive_frames():
     p = parse_text("Mom drinks juice")
-    assert p.verb.lemma == "drink"
+    assert p.verb == "drink"
     assert p.noun_phrases[1].lemma == "juice" and not p.noun_phrases[1].is_bare_plural
     assert not p.is_generic  # the mass object is a recognized non-plural noun
 
     p2 = parse_text("a baby eats a cookie")
-    assert p2.verb.object == 1 and p2.noun_phrases[1].lemma == "cookie"
+    assert len(p2.noun_phrases) == 2 and p2.noun_phrases[1].lemma == "cookie"
 
     p3 = parse_text("bears eat cookies")
     assert p3.is_generic  # both noun phrases are bare plurals
@@ -156,15 +157,32 @@ def test_plural_round_trip_recovers_the_lemma(lemma):
 
 
 def test_genericity_ignores_the_verb_form():
-    # third-person and base verb forms resolve to the same frame
-    assert parse_text("birds fly").verb.lemma == "fly"
-    assert parse_text("a bird flies").verb.lemma == "fly"
+    # third-person and base verb forms resolve to the same verb lemma
+    assert parse_text("birds fly").verb == "fly"
+    assert parse_text("a bird flies").verb == "fly"
 
 
 def test_lexicon_round_trip():
     lex = default_lexicon()
     again = Lexicon.from_text(lex.to_text())
     assert [e for e in again.entries()] == [e for e in lex.entries()]
+
+
+def test_load_lexicon_reads_back_a_saved_lexicon(tmp_path):
+    path = tmp_path / "default.lexicon"
+    path.write_text(default_lexicon().to_text(), encoding="utf-8")
+    assert load_lexicon(path).entries() == default_lexicon().entries()
+    assert load_lexicon(str(path)).entries() == default_lexicon().entries()
+
+
+def test_load_lexicon_names_a_bad_line(tmp_path):
+    path = tmp_path / "colors.lexicon"
+    path.write_text("# colors\nword red color-adjective lemma=red\nword blue colour lemma=blue\n",
+                    encoding="utf-8")
+    with pytest.raises(LexiconFormatError) as err:
+        load_lexicon(path)
+    assert str(err.value) == "line 3: unknown part of speech 'colour'"
+    assert err.value.line == 3
 
 
 def test_lexicon_format_errors_carry_line_numbers():

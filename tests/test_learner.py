@@ -207,7 +207,7 @@ def test_all_curriculum_mentions_become_nodes():
             if np.modifier:
                 assert net.get(np.modifier, ATTRIBUTE) is not None
         if parsed.verb is not None:
-            assert net.get(parsed.verb.lemma, "action") is not None
+            assert net.get(parsed.verb, "action") is not None
         if parsed.predicate is not None and parsed.predicate.complement_is_color:
             assert net.get(parsed.predicate.complement, ATTRIBUTE) is not None
 

@@ -37,9 +37,9 @@ def _outcome(observe_fn, net, instance):
 def _plain_order(created, instance):
     """The oracle's created list in the order the one walk creates nodes."""
     parsed = parse_text(instance.utterance)
-    if not (parsed.is_generic and parsed.verb is not None and parsed.verb.object is not None):
+    if not (parsed.is_generic and parsed.verb is not None and len(parsed.noun_phrases) > 1):
         return created
-    order = [f"object/{np.lemma}" for np in parsed.noun_phrases] + [f"action/{parsed.verb.lemma}"]
+    order = [f"object/{np.lemma}" for np in parsed.noun_phrases] + [f"action/{parsed.verb}"]
     return sorted(created, key=order.index)
 
 

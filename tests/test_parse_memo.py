@@ -112,7 +112,7 @@ def test_parse_results_are_frozen():
     q = parse_text("dad takes the cup", _fresh())
     assert isinstance(p.noun_phrases, tuple)
     for obj, field in ((p, "is_generic"), (p, "noun_phrases"), (p.noun_phrases[0], "lemma"),
-                       (p.predicate, "complement"), (q.verb, "object")):
+                       (p.predicate, "complement"), (q, "verb")):
         with pytest.raises(FrozenInstanceError):
             setattr(obj, field, None)
 
