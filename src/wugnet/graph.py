@@ -16,10 +16,7 @@ fixed is what keeps saved network files byte-identical.
 
 So the fold is a Python loop, or, for a large category, np.add.accumulate
 down the rows of its weight block: accumulate is defined as
-r[i] = r[i-1] + a[i], the same adds in the same order. A large category
-also keeps every row's running totals, so after a write only the rows
-from the first one written down are added again, onto the kept total of
-the row above: the same adds once more. Never the builtin sum()
+r[i] = r[i-1] + a[i], the same adds in the same order. Never the builtin sum()
 (compensated for floats since CPython 3.12), math.fsum, or np.sum /
 np.add.reduce, which add a contiguous axis pairwise and so round
 differently.
@@ -55,12 +52,12 @@ LEARNING_RATE = 0.2
 # below it. Measured per call with one new member (5 edges, 12 columns)
 # joining at a random name position since the last call, median of 150
 # calls, loop and fold interleaved, on a shared 2-core Xeon, Python
-# 3.11.7, numpy 2.4.6 (members: plain loop vs fold): 8: 28.4 vs 42.4 us;
-# 16: 43.1 vs 44.9 us; 24: 56.6 vs 46.8 us; 32: 71.5 vs 46.5 us; 128:
-# 247 vs 57 us; 1000: 2469 vs 119 us. The host was shared and absolute
+# 3.11.7, numpy 2.4.6 (members: plain loop vs fold): 8: 27.4 vs 39.3 us;
+# 16: 39.8 vs 41.3 us; 24: 55.9 vs 43.3 us; 32: 69.7 vs 37.6 us; 128:
+# 244 vs 47 us; 1000: 2366 vs 154 us. The host was shared and absolute
 # times moved by up to 1.6x from run to run; the crossover did not. The
 # fold's fixed cost (about 40 us a call here) dominates below a few
-# hundred members, so the crossover sits near 16-20 members. The paper's
+# hundred members, so the crossover sits near 16-24 members. The paper's
 # categories have 3-7 members and are averaged a few times each; the
 # scaled novel-members categories have 336-673 members.
 FOLD_MIN_MEMBERS = 32
@@ -121,62 +118,30 @@ def _member_order(node: Concept) -> tuple[str, str]:
 
 
 class _Fold:
-    """One category's member weights as a float64 block, with each column's running totals.
+    """One category's member weights as a float64 block.
 
     keys lists the members as (name, kind), in members_of order; columns
     maps each (target, label) to its column index. block[1 + i, j] is
     member i's weight on column j's edge, 0.0 without one. Row 0 is all
     +0.0: it is the fold's start value, so a column of members' -0.0 still
-    totals +0.0, as the Python fold from 0.0 does. prefix has block's shape,
-    and prefix[k] holds the left fold of block rows 0..k for every k below
-    stale, the first row written since the totals were last folded. Both
-    blocks keep spare rows past row len(keys), so a joining member's row is
-    made by moving the rows after it down in place. dirty holds the members
-    written since their rows were last read from the graph, new members
-    included.
+    totals +0.0, as the Python fold from 0.0 does. The block keeps spare
+    rows past row len(keys), so a joining member's row is made by moving
+    the rows after it down in place. dirty holds the members written since
+    their rows were last read from the graph, new members included.
     """
 
-    __slots__ = ("keys", "columns", "block", "prefix", "stale", "dirty")
+    __slots__ = ("keys", "columns", "block", "dirty")
 
     def __init__(self, members: list[Concept]):
         self.keys: list[tuple[str, str]] = []
         self.columns: dict[tuple[Concept, str], int] = {}
         self.block = np.zeros((1, 0))
-        self.prefix = np.zeros((1, 0))
-        self.stale = 1
         self.dirty: set[Concept] = set(members)
 
-    def resize(self, rows: int, cols: int) -> None:
-        """Make room for at least rows rows and exactly cols columns; new cells hold 0.0.
 
-        A block that runs out of rows grows to twice the rows it needs, so
-        members joining one at a time copy each row O(1) times on average.
-        """
-        height, width = self.block.shape
-        if rows <= height and cols == width:
-            return
-        if rows > height:
-            height = 2 * rows
-        for name in ("block", "prefix"):
-            old = getattr(self, name)
-            new = np.zeros((height, cols))
-            new[:len(old), :width] = old
-            setattr(self, name, new)
-
-
-def _refold(block: np.ndarray, prefix: np.ndarray, start: int, end: int) -> None:
-    """Fold rows start..end-1 onto the kept totals: prefix[k] = prefix[k - 1] + block[k].
-
-    Each column's prefix[end - 1] is then ((b[0] + b[1]) + b[2]) + ... up
-    to b[end - 1], the same sequence of IEEE adds as
-    functools.reduce(add, column), whatever start is. np.add.accumulate is
-    defined as r[i] = r[i-1] + a[i]; run in place over prefix[start - 1:end]
-    once the rows are copied in, it starts from the kept total of row
-    start - 1. np.sum and np.add.reduce would add the rows pairwise and
-    round differently.
-    """
-    prefix[start:end] = block[start:end]
-    np.add.accumulate(prefix[start - 1:end], axis=0, out=prefix[start - 1:end])
+def _fold_totals(block: np.ndarray) -> list[float]:
+    """Each column's left fold down the rows: ((b[0] + b[1]) + b[2]) + ... + b[-1]."""
+    return np.add.accumulate(block, axis=0)[-1].tolist()
 
 
 class ConceptNetwork:
@@ -331,13 +296,11 @@ class ConceptNetwork:
 
         Below FOLD_MIN_MEMBERS members a loop over the members' out-edges
         adds them up. From then on the weights come from the category's
-        _Fold block, and its prefix block keeps each column's running
-        totals down the rows. _read_rows marks the lowest row it writes
-        stale, and _refold adds the rows from there on to the kept total
-        of the row above: the same left fold, so a member joining at name
-        position i costs O((members - i) x keys). A member without the edge
-        holds 0.0 there: the block's +0.0 start row keeps every total from
-        being -0.0, and adding 0.0 to it leaves every bit as it was.
+        _Fold block, and each read folds every column down its rows with
+        _fold_totals, O(members x keys) adds inside numpy: the same left
+        fold, from the block's +0.0 start row. A member without the edge
+        holds 0.0 there: the start row keeps every total from being -0.0,
+        and adding 0.0 to it leaves every bit as it was.
         """
         members = self._member_list(category)
         n = len(members)
@@ -346,10 +309,7 @@ class ConceptNetwork:
             fold = self._folds[category] = _Fold(members)
         if fold is not None:
             self._read_rows(fold)
-            if fold.stale <= n:
-                _refold(fold.block, fold.prefix, fold.stale, n + 1)
-                fold.stale = n + 1
-            totals = fold.prefix[n].tolist()
+            totals = _fold_totals(fold.block[:n + 1])
             return [(target, label, totals[j] / n)
                     for (target, label), j in sorted(fold.columns.items())]
         totals: dict[tuple[Concept, str], float] = {}
@@ -365,17 +325,11 @@ class ConceptNetwork:
         yet in the fold get rows of 0.0 at their members_of positions: one
         pass from the end moves each run of rows between two joining
         positions down, inside the block's spare rows, by the number of
-        members joining before it. A run is copied out to the same rows of
-        prefix and back, not shifted within block, which numpy would buffer
-        through a temporary: those prefix rows are at or past the first
-        joining row, so at or past the new fold.stale, and the next _refold
-        writes them again. (target, label) keys new to the fold get columns
-        of 0.0 at the right. Edges are never removed, so writing a member's
-        weights into its row sets it. fold.stale drops to the lowest row
-        written.
+        members joining before it, in one overlapping slice assignment.
+        (target, label) keys new to the fold get columns of 0.0 at the
+        right. Edges are never removed, so writing a member's weights into
+        its row sets it.
         """
-        if not fold.dirty:
-            return
         keys, columns, out = fold.keys, fold.columns, self._out
         dirty = sorted(fold.dirty, key=_member_order)
         fold.dirty.clear()
@@ -391,21 +345,26 @@ class ConceptNetwork:
         for key in dict.fromkeys(key for member in dirty for key in out[member]):
             if key not in columns:
                 columns[key] = len(columns)
-        fold.resize(1 + len(keys), len(columns))
-        block, prefix = fold.block, fold.prefix
+        block = fold.block
+        height, width = block.shape
+        if len(keys) >= height:
+            # twice the rows it needs, so members joining one at a time
+            # copy each row O(1) times on average
+            height = 2 * (1 + len(keys))
+        if (height, len(columns)) != block.shape:
+            fold.block = np.zeros((height, len(columns)))
+            fold.block[:len(block), :width] = block
+            block = fold.block
         end = len(keys) - len(joining)
         for t in range(len(joining) - 1, -1, -1):
             i = joining[t]
-            if i < end:
-                prefix[1 + i:1 + end] = block[1 + i:1 + end]
-                block[2 + i + t:2 + end + t] = prefix[1 + i:1 + end]
+            block[2 + i + t:2 + end + t] = block[1 + i:1 + end]
             block[1 + i + t] = 0.0
             end = i
         for member, k in zip(dirty, rows):
             row = block[k]
             for key, e in out[member].items():
                 row[columns[key]] = e.weight
-        fold.stale = min(fold.stale, rows[0])
 
     # -- whole-network helpers ------------------------------------------
 

@@ -26,7 +26,7 @@ from wugnet.graph import (
     SLOT1,
     SLOT2,
     ConceptNetwork,
-    _refold,
+    _fold_totals,
     network_from_text,
     network_to_text,
 )
@@ -255,30 +255,24 @@ def _assert_left_folds(totals: list[float], block: np.ndarray) -> None:
 def test_fold_totals_are_the_left_fold_of_each_column(rows, cols, seed, cells, filled):
     # The numpy contract member_average rests on: np.add.accumulate adds
     # down the rows in order. A numpy whose accumulate adds in another
-    # order (pairwise, say, as np.sum does) fails here.
+    # order (pairwise, say, as np.sum does) fails here, and so does
+    # np.add.reduce, which sums the 3001-row single column pairwise.
     block = _edge_block(rows, cols, seed, cells, filled)
-    prefix = np.zeros_like(block)
-    _refold(block, prefix, 1, len(block))
-    _assert_left_folds(prefix[-1].tolist(), block)
+    _assert_left_folds(_fold_totals(block), block)
 
 
-@settings(max_examples=60, deadline=None)
-@given(**BLOCKS, split=st.integers(0, 2 ** 31))
-@example(rows=3000, cols=1, seed=0, cells=[], filled=[(0, 0.1)], split=1499)
-@example(rows=2, cols=1, seed=0, cells=[(0, 0, -0.0)], filled=[(0, -0.0)], split=1)
-def test_refolding_from_any_row_continues_the_left_fold(rows, cols, seed, cells, filled, split):
-    # member_average re-folds only the rows from the first one written,
-    # starting from the kept total of the row above it. Rows from there on
-    # change first (reversed here, as a join moves them), and the totals
-    # past them are garbage until the re-fold.
-    block = _edge_block(rows, cols, seed, cells, filled)
-    prefix = np.zeros_like(block)
-    _refold(block, prefix, 1, len(block))
-    start = 1 + split % rows
-    block[start:] = block[start:][::-1].copy()
-    prefix[start:] = np.nan
-    _refold(block, prefix, start, len(block))
-    _assert_left_folds(prefix[-1].tolist(), block)
+def test_a_folded_column_of_negative_zeros_averages_to_positive_zero():
+    # The block's +0.0 start row: the Python fold from 0.0 turns the
+    # members' -0.0 into +0.0, and a fold without the start row would not.
+    net = _fold_network()
+    herd, tan = net.require("herd", CATEGORY), net.require("tan", ATTRIBUTE)
+    members = net.members_of(herd)
+    assert len(members) >= FOLD_MIN_MEMBERS
+    for member in members:
+        net.write(member, tan, IS, -0.0, False)
+    fast = net.member_average(herd)
+    assert repr({(target, label): mean for target, label, mean in fast}[(tan, IS)]) == "0.0"
+    assert repr(fast) == repr(member_average_reaveraged(net, herd))
 
 
 def test_fold_rows_follow_joins_new_columns_and_later_writes():

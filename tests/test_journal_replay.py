@@ -1,3 +1,5 @@
+import json
+
 import pytest
 
 from journal_replay import replay
@@ -56,3 +58,21 @@ def test_a_plain_write_on_a_generic_edge_replays_generic(tmp_path, capsys):
     net = load_network(network)
     assert "generic:1" in network.read_text(encoding="utf-8")
     _assert_replays((tmp_path / "net.txt.trace.jsonl").read_text().splitlines(), net)
+
+
+@pytest.mark.parametrize("field", ("old", "new"))
+def test_an_edited_intermediate_weight_fails_replay(field):
+    # The edited write is one a later write of the same edge overwrites, so
+    # the replayed network still equals the learned one: only the check of
+    # each write catches the edit.
+    net = ConceptNetwork()
+    lines = []
+    learn_curriculum(net, builtin_curriculum("objects-and-colors", seed=0),
+                     on_report=lambda i, report: lines.append(report.to_json_line(i)))
+    reports = [json.loads(line) for line in lines]
+    writes = [(report, write) for report in reports for write in report["edges"]]
+    write = next(write for k, (report, write) in enumerate(writes)
+                 if not report["generic"] and any(later[:3] == write[:3] for _, later in writes[k + 1:]))
+    write[3 if field == "old" else 4] += 0.125
+    with pytest.raises(ValueError, match=f"journalled {field} weight"):
+        replay(json.dumps(report) for report in reports)

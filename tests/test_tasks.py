@@ -3,6 +3,7 @@ import re
 import pytest
 
 from wugnet.curriculum import DEFAULT_OBJECTS, builtin_spec
+from wugnet.graph import CATEGORY, IS, OBJECT
 from wugnet.learner import observe
 from wugnet.tasks import (
     NOVEL_OBJECTS,
@@ -94,6 +95,19 @@ def test_task3_chicken_drives_the_bleed_through(task3):
     assert food["none"] == 0.0
     assert food["beef-and-cow"] == 0.0
     assert food["chicken"] > food["chicken-beef-and-cow"] > 0.0
+
+
+@pytest.mark.parametrize("condition, weight", [("chicken", 0.2), ("chicken-beef-and-cow", 1 / 6)])
+def test_task3_wug_joins_food_through_chickens_inherited_membership(condition, weight):
+    # Any `is` edge into a category makes a member. wug inherits chicken's
+    # `is food` edge from the animal average, joins food, and is scored
+    # against a food vector that averages its own row.
+    net = _train(builtin_spec("objects-and-kinds", seed=0,
+                              exclude_objects=dict(TASK3_CONDITIONS)[condition]))
+    observe(net, membership_instance("wug", "animal"))
+    wug, food = net.require("wug", OBJECT), net.require("food", CATEGORY)
+    assert wug in net.members_of(food)
+    assert net.get_strength(wug, food, IS) == weight
 
 
 def test_task3_checks_pass(task3):
