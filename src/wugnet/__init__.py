@@ -29,7 +29,6 @@ from .lang import (
     default_lexicon,
     load_lexicon,
     parse,
-    parse_text,
     tokenize,
 )
 from .learner import (

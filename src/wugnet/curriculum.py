@@ -27,7 +27,6 @@ from .lang import (
     ParseError,
     default_lexicon,
     parse,
-    tokenize,
 )
 from .learner import ActionFrame, Entity, LearningInstance, Situation
 
@@ -421,7 +420,7 @@ def curriculum_from_text(text: str, name: str = "unnamed",
                 raise CurriculumFormatError("'say:' outside an instance block", lineno)
             utterance = line[len("say:"):].strip()
             try:
-                parse(tokenize(utterance, lex), lex)
+                parse(utterance, lex)
             except ParseError as err:
                 raise CurriculumFormatError(
                     f"utterance does not parse: {err}", lineno) from err

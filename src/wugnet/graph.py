@@ -62,7 +62,8 @@ LEARNING_RATE = 0.2
 # scaled novel-members categories have 336-673 members.
 FOLD_MIN_MEMBERS = 32
 
-_NAME_RE = re.compile(r"[a-z][a-z-]*")
+# a concept name, and so every lexicon word and lemma (lang reads it from here)
+NAME_RE = re.compile(r"[a-z][a-z-]*")
 
 
 class EdgeRuleError(ValueError):
@@ -174,7 +175,7 @@ class ConceptNetwork:
         """Create (or return the existing) concept for (name, kind)."""
         if kind not in KINDS:
             raise ValueError(f"unknown concept kind {kind!r}")
-        if not _NAME_RE.fullmatch(name or ""):
+        if not NAME_RE.fullmatch(name or ""):
             raise ValueError(f"malformed concept name {name!r}")
         node = self._nodes.get((kind, name))
         if node is None:

@@ -9,12 +9,12 @@ bare plural (plural morphology, no determiner, no number word).
 from __future__ import annotations
 
 import re
-import sys
 from dataclasses import dataclass
 from functools import lru_cache
 from pathlib import Path
 
 from .errors import FormatError
+from .graph import NAME_RE
 
 NOUN = "noun"
 MASS_NOUN = "mass-noun"
@@ -31,8 +31,6 @@ NOUN_LIKE = (NOUN, MASS_NOUN, PROPER_NOUN)
 # one whitespace-separated chunk: letters joined by single hyphens, then
 # optional sentence punctuation
 _CHUNK_RE = re.compile(r"([A-Za-z]+(?:-[A-Za-z]+)*)[.,!?]*")
-# a lexicon word or lemma: the pattern graph accepts as a concept name
-_LEXEME_RE = re.compile(r"[a-z][a-z-]*")
 
 
 class LexiconFormatError(FormatError):
@@ -59,17 +57,16 @@ class LexEntry:
 class Lexicon:
     """Surface-form table. Its entries are fixed once built; safe to share.
 
-    Each lexicon also memoizes the front end: `tokenize` keeps each text's
-    tokens and `parse` each token tuple's frozen ParsedUtterance, so a
-    distinct utterance is read once per lexicon and every later parse of it
-    returns the same shared object. The memos grow with the number of
-    distinct utterances seen (they are never evicted) and hold no failures:
-    a ParseError is raised afresh, with its token and position, each time.
+    Each lexicon also memoizes the front end: `parse` keeps each utterance
+    text's frozen ParsedUtterance, so a distinct text is read once per
+    lexicon and every later parse of it returns the same shared object. The
+    memo grows with the number of distinct texts seen (it is never evicted)
+    and holds no failures: a ParseError is raised afresh, with its token and
+    position, each time.
     """
 
     def __init__(self, entries: list[LexEntry]):
-        self._tokens: dict[str, tuple[str, ...]] = {}
-        self._parses: dict[tuple[str, ...], ParsedUtterance] = {}
+        self._parses: dict[str, ParsedUtterance] = {}
         self._by_surface: dict[str, LexEntry] = {}
         for e in entries:
             if e.surface in self._by_surface:
@@ -125,7 +122,7 @@ class Lexicon:
             if "lemma" not in attrs:
                 raise LexiconFormatError("missing lemma=", lineno)
             for value in (surface, *attrs.values()):
-                if not _LEXEME_RE.fullmatch(value):
+                if not NAME_RE.fullmatch(value):
                     raise LexiconFormatError(f"{value!r} is not a lowercase lexeme", lineno)
             if surface in entries:
                 raise LexiconFormatError(f"duplicate surface form {surface!r}", lineno)
@@ -260,17 +257,10 @@ def tokenize(text: str, lexicon: Lexicon | None = None) -> list[str]:
     joined by single hyphens, followed by optional `.,!?`; any other chunk
     ("a2", "bears.sit", "-", ".") raises ParseError naming the chunk and
     its position. Adjacent words that spell a hyphenated lexicon entry
-    ("light brown") are joined into the single lexeme. Tokens are interned
-    and memoized per lexicon; each call returns a fresh list.
+    ("light brown") are joined into the single lexeme. Not memoized:
+    `parse` keeps the whole utterance's result instead.
     """
     lex = lexicon or default_lexicon()
-    tokens = lex._tokens.get(text)
-    if tokens is None:
-        tokens = lex._tokens[text] = _tokenize(text, lex)
-    return list(tokens)
-
-
-def _tokenize(text: str, lex: Lexicon) -> tuple[str, ...]:
     words = []
     for position, chunk in enumerate(text.split()):
         m = _CHUNK_RE.fullmatch(chunk)
@@ -287,7 +277,7 @@ def _tokenize(text: str, lex: Lexicon) -> tuple[str, ...]:
         else:
             out.append(words[i])
             i += 1
-    return tuple(map(sys.intern, out))
+    return out
 
 
 @dataclass(frozen=True, slots=True)
@@ -304,27 +294,20 @@ class NounPhrase:
 
 
 @dataclass(frozen=True, slots=True)
-class Predicate:
-    """`are` and its complement; a plural-noun complement is also noun phrase 1."""
-
-    complement: str  # color lemma or plural-noun lemma
-    complement_is_color: bool
-
-
-@dataclass(frozen=True, slots=True)
 class ParsedUtterance:
-    """What the learner reads off an utterance; the parse memo's key holds its tokens.
+    """What the learner reads off an utterance; the parse memo's key holds its text.
 
     The subject is noun phrase 0, and a verb's object, if any, noun phrase 1.
     """
 
     noun_phrases: tuple[NounPhrase, ...] = ()
     verb: str | None = None  # verb lemma
-    predicate: Predicate | None = None
+    complement: str | None = None  # after `are`: a color lemma, or noun phrase 1's lemma
+    complement_is_color: bool = False
     is_generic: bool = False
 
 
-def _fail(tokens: tuple[str, ...], i: int, message: str) -> ParseError:
+def _fail(tokens: list[str], i: int, message: str) -> ParseError:
     return ParseError(message, tokens[i] if i < len(tokens) else None, i)
 
 
@@ -341,7 +324,7 @@ def _plural_np(token: str, lex: Lexicon, bare: bool = True) -> NounPhrase | None
         lemma = token[:-1]
         se = lex.get(lemma)
         novel = se is None
-        if not (_LEXEME_RE.fullmatch(lemma) if novel else se.pos in NOUN_LIKE):
+        if not (NAME_RE.fullmatch(lemma) if novel else se.pos in NOUN_LIKE):
             return None
     elif e is not None and e.pos == NOUN and e.plural_of:
         lemma, novel = e.plural_of, False
@@ -350,7 +333,7 @@ def _plural_np(token: str, lex: Lexicon, bare: bool = True) -> NounPhrase | None
     return NounPhrase(lemma, is_bare_plural=bare, novel=novel)
 
 
-def _det_np(tokens: tuple[str, ...], i: int, lex: Lexicon,
+def _det_np(tokens: list[str], i: int, lex: Lexicon,
             allow_color: bool) -> tuple[NounPhrase, int]:
     """The phrase the determiner at i heads, and the index after it."""
     i += 1
@@ -368,26 +351,26 @@ def _det_np(tokens: tuple[str, ...], i: int, lex: Lexicon,
     return NounPhrase(e.lemma, modifier=modifier), i + 1
 
 
-def parse(tokens: list[str], lexicon: Lexicon | None = None) -> ParsedUtterance:
-    """Match one of the supported utterance templates.
+def parse(text: str, lexicon: Lexicon | None = None) -> ParsedUtterance:
+    """Tokenize an utterance and match one of the supported templates.
 
     DET (COLOR) N | NUM N-pl | many N-pl | N-pl | N-pl are COLOR |
     N-pl are N-pl | N-pl V (N-mass | N-pl) | PROPN/DET N V (DET N | N-mass)
 
     Unknown nouns are admitted only in bare-plural positions (strip-s rule)
-    and flagged novel. The result is frozen and memoized per lexicon: a
-    second parse of the same tokens returns the same object.
+    and flagged novel. The result is frozen and memoized per lexicon under
+    the text as written: a second parse of the same text returns the same
+    object.
     """
     lex = lexicon or default_lexicon()
-    key = tuple(tokens)
-    parsed = lex._parses.get(key)
+    parsed = lex._parses.get(text)
     if parsed is None:
-        parsed = lex._parses[key] = _parse(key, lex)
+        parsed = lex._parses[text] = _parse(tokenize(text, lex), lex)
     return parsed
 
 
-def _parse(tokens: tuple[str, ...], lex: Lexicon) -> ParsedUtterance:
-    """One walk: the subject, then the tail its kind allows.
+def _parse(tokens: list[str], lex: Lexicon) -> ParsedUtterance:
+    """One walk over the tokens: the subject, then the tail its kind allows.
 
     A number phrase takes no tail, a determiner phrase an optional verb, a
     proper noun a verb, a bare plural a verb or `are`.
@@ -397,7 +380,7 @@ def _parse(tokens: tuple[str, ...], lex: Lexicon) -> ParsedUtterance:
         raise ParseError("empty utterance", None, 0)
     first = lex.get(tokens[0])
     kind = first.pos if first is not None else None
-    verb = predicate = None
+    verb, complement, is_color = None, None, False
     if kind == DETERMINER:
         subject, i = _det_np(tokens, 0, lex, allow_color=True)
         tail_error = "expected a verb"
@@ -426,14 +409,15 @@ def _parse(tokens: tuple[str, ...], lex: Lexicon) -> ParsedUtterance:
             if i == n:
                 raise _fail(tokens, i, "expected a complement after 'are'")
             c = lex.get(tokens[i])
-            if c is not None and c.pos == COLOR_ADJ:
-                predicate = Predicate(c.lemma, complement_is_color=True)
+            is_color = c is not None and c.pos == COLOR_ADJ
+            if is_color:
+                complement = c.lemma
             else:
-                complement = _plural_np(tokens[i], lex)
-                if complement is None:
+                category = _plural_np(tokens[i], lex)
+                if category is None:
                     raise _fail(tokens, i, "expected a color or plural noun complement")
-                nps.append(complement)
-                predicate = Predicate(complement.lemma, complement_is_color=False)
+                nps.append(category)
+                complement = category.lemma
             i += 1
         elif pos == VERB:
             i += 1
@@ -456,8 +440,4 @@ def _parse(tokens: tuple[str, ...], lex: Lexicon) -> ParsedUtterance:
     if i != n:
         raise _fail(tokens, i, "unexpected trailing token")
     generic = bare and all(np.is_bare_plural for np in nps)
-    return ParsedUtterance(tuple(nps), verb, predicate, generic)
-
-
-def parse_text(text: str, lexicon: Lexicon | None = None) -> ParsedUtterance:
-    return parse(tokenize(text, lexicon), lexicon)
+    return ParsedUtterance(tuple(nps), verb, complement, is_color, generic)

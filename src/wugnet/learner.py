@@ -25,7 +25,7 @@ from .graph import (
     Concept,
     ConceptNetwork,
 )
-from .lang import Lexicon, ParsedUtterance, ParseError, default_lexicon, parse, tokenize
+from .lang import Lexicon, ParsedUtterance, ParseError, default_lexicon, parse
 
 
 class UnlearnableGeneric(ValueError):
@@ -166,17 +166,16 @@ def _scene_mismatches(parsed: ParsedUtterance, situation: Situation) -> list[str
     """
     out: list[str] = []
     lemmas = {e.lemma for e in situation.entities}
-    predicate = parsed.predicate
-    # a predicate's noun phrase 1, if any, is its category complement
-    for np in parsed.noun_phrases[:1] if predicate is not None else parsed.noun_phrases:
+    # after `are`, noun phrase 1, if any, is the category complement
+    for np in parsed.noun_phrases[:1] if parsed.complement is not None else parsed.noun_phrases:
         if np.lemma not in lemmas:
             out.append(f"no entity '{np.lemma}' in scene")
         elif np.modifier is not None and not any(
                 e.lemma == np.lemma and e.color == np.modifier for e in situation.entities):
             out.append(f"no {np.modifier} '{np.lemma}' in scene")
-    if predicate is not None and predicate.complement_is_color:
+    if parsed.complement_is_color:
         subject = parsed.noun_phrases[0].lemma
-        color = predicate.complement
+        color = parsed.complement
         if not any(e.lemma == subject and e.color == color for e in situation.entities):
             out.append(f"no {color} '{subject}' in scene")
     if parsed.verb is not None and not any(a.verb == parsed.verb for a in situation.actions):
@@ -188,26 +187,25 @@ def observe(net: ConceptNetwork, instance: LearningInstance,
             lexicon: Lexicon | None = None) -> ObservationReport:
     """Learn from one (situation, utterance) pair.
 
-    Every mentioned lemma ends up with a concept node. A membership
-    predicate ("dogs are animals", "wugs are animals") goes to
+    Every mentioned lemma ends up with a concept node. A plural-noun
+    complement ("dogs are animals", "wugs are animals") goes to
     _membership_generic. Every other shape links each noun phrase to its
-    color (modifier or color predicate), then the verb's subject and object
+    color (modifier or color complement), then the verb's subject and object
     to its argument slots: with the plateauing update when the utterance is
     plain, pinned at 1.0 and marked generic when it is generic.
     """
     lex = lexicon or default_lexicon()
-    parsed = parse(tokenize(instance.utterance, lex), lex)
+    parsed = parse(instance.utterance, lex)
     report = ObservationReport(instance.utterance, parsed.is_generic, parsed, instance.situation)
-    predicate = parsed.predicate
-    if predicate is not None and not predicate.complement_is_color:
+    if parsed.complement is not None and not parsed.complement_is_color:
         _membership_generic(net, report, parsed)
         return report
 
     nodes = [_ensure(net, report, np.lemma, OBJECT) for np in parsed.noun_phrases]
     links = [(node, _ensure(net, report, np.modifier, ATTRIBUTE), IS)
              for np, node in zip(parsed.noun_phrases, nodes) if np.modifier is not None]
-    if predicate is not None:
-        color = _ensure(net, report, predicate.complement, ATTRIBUTE)
+    if parsed.complement is not None:
+        color = _ensure(net, report, parsed.complement, ATTRIBUTE)
         links.append((nodes[0], color, IS))
     if parsed.verb is not None:
         action = _ensure(net, report, parsed.verb, ACTION)
@@ -230,7 +228,7 @@ def _membership_generic(net: ConceptNetwork, report: ObservationReport,
     holds, is UnlearnableGeneric.
     """
     subject_lemma = parsed.noun_phrases[0].lemma
-    complement_lemma = parsed.predicate.complement
+    complement_lemma = parsed.complement
 
     subject = net.get(subject_lemma, OBJECT)
     category = net.get(complement_lemma, CATEGORY)

@@ -11,7 +11,7 @@ The subject is noun phrase 0, and a verb's object noun phrase 1.
 """
 
 from wugnet.graph import ACTION, ATTRIBUTE, CATEGORY, IS, OBJECT, SLOT1, SLOT2
-from wugnet.lang import default_lexicon, parse, tokenize
+from wugnet.lang import _parse, default_lexicon, tokenize
 from wugnet.learner import EdgeWrite, ObservationReport, UnlearnableGeneric, _scene_mismatches
 
 
@@ -37,7 +37,7 @@ def _assert_edge(net, report, src, dst, label):
 def observe(net, instance, lexicon=None):
     lex = lexicon or default_lexicon()
     tokens = tokenize(instance.utterance, lex)
-    parsed = parse(tokens, lex)
+    parsed = _parse(tokens, lex)
     if parsed.is_generic:
         return process_generic(net, parsed, instance.situation, " ".join(tokens))
 
@@ -72,17 +72,17 @@ def process_generic(net, parsed, situation, text):
             _assert_edge(net, report, obj, action, SLOT2)
         return report
 
-    if parsed.predicate is not None and parsed.predicate.complement_is_color:
+    if parsed.complement_is_color:
         subject = _ensure(net, report, parsed.noun_phrases[0].lemma, OBJECT)
-        color = _ensure(net, report, parsed.predicate.complement, ATTRIBUTE)
+        color = _ensure(net, report, parsed.complement, ATTRIBUTE)
         _assert_edge(net, report, subject, color, IS)
         return report
 
-    if parsed.predicate is not None:
+    if parsed.complement is not None:
         _membership_generic(net, report, parsed)
         return report
 
-    # bare plural with no predicate or verb: the mention alone creates the node
+    # bare plural with no complement or verb: the mention alone creates the node
     for np in parsed.noun_phrases:
         _ensure(net, report, np.lemma, OBJECT)
     return report
@@ -90,7 +90,7 @@ def process_generic(net, parsed, situation, text):
 
 def _membership_generic(net, report, parsed):
     subject_lemma = parsed.noun_phrases[0].lemma
-    complement_lemma = parsed.predicate.complement
+    complement_lemma = parsed.complement
 
     subject = net.get(subject_lemma, OBJECT)
     category = net.get(complement_lemma, CATEGORY)

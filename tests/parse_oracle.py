@@ -1,17 +1,20 @@
 """Reference implementations of the tokenizer and the template parser.
 
-These are the original lang.tokenize and lang.parse (with its
-_resolve_plural helper), kept verbatim but for the NounPhrase and
-ParsedUtterance fields the learner never read (number counts, mass and
-determiner flags, the token copy), which lang no longer builds, and for
-the verb frame's and predicate's noun-phrase indexes, which were constant:
-the subject is always noun phrase 0, and a verb's object or a noun
-complement noun phrase 1. The verb is now its lemma. Tests
-compare the single-walk parser against this one on every short token
-sequence and on every built-in curriculum, exactly: same ParsedUtterance,
-or the same error message, token and position. The old tokenizer also
-split words at `.,!?` and lone hyphens anywhere in a chunk; it is kept to
-check that every curriculum utterance still tokenizes the same.
+These are the original lang.tokenize and the template walk of lang.parse
+(with its _resolve_plural helper), kept verbatim but for the NounPhrase
+and ParsedUtterance fields the learner never read (number counts, mass
+and determiner flags, the token copy), which lang no longer builds, and
+for the verb frame's and predicate's noun-phrase indexes, which were
+constant: the subject is always noun phrase 0, and a verb's object or a
+noun complement noun phrase 1. The verb is now its lemma, and the
+predicate's two fields (complement and complement_is_color) sit on the
+ParsedUtterance itself rather than in a separate Predicate object. Tests
+compare lang._parse, the unmemoized walk, against this one on every short
+token sequence and on every built-in curriculum, exactly: same
+ParsedUtterance, or the same error message, token and position. The old
+tokenizer also split words at `.,!?` and lone hyphens anywhere in a chunk;
+it is kept to check that every curriculum utterance still tokenizes the
+same.
 """
 
 from __future__ import annotations
@@ -32,7 +35,6 @@ from wugnet.lang import (
     NounPhrase,
     ParsedUtterance,
     ParseError,
-    Predicate,
     default_lexicon,
 )
 
@@ -136,7 +138,8 @@ def parse(tokens: list[str], lexicon: Lexicon | None = None) -> ParsedUtterance:
 
     nps: list[NounPhrase] = []
     verb: str | None = None
-    predicate: Predicate | None = None
+    complement: str | None = None
+    complement_is_color = False
 
     first = lex.get(tokens[0])
 
@@ -193,7 +196,7 @@ def parse(tokens: list[str], lexicon: Lexicon | None = None) -> ParsedUtterance:
                     raise fail(2, "expected a complement after 'are'")
                 ec = lex.get(tokens[2])
                 if ec is not None and ec.pos == COLOR_ADJ:
-                    predicate = Predicate(ec.lemma, complement_is_color=True)
+                    complement, complement_is_color = ec.lemma, True
                     end_or_die(3)
                 else:
                     cpl = _resolve_plural(tokens[2], lex)
@@ -201,7 +204,7 @@ def parse(tokens: list[str], lexicon: Lexicon | None = None) -> ParsedUtterance:
                         raise fail(2, "expected a color or plural noun complement")
                     clemma, cnovel = cpl
                     nps.append(NounPhrase(clemma, is_bare_plural=True, novel=cnovel))
-                    predicate = Predicate(clemma, complement_is_color=False)
+                    complement = clemma
                     end_or_die(3)
             elif e1 is not None and e1.pos == VERB:
                 verb = e1.lemma
@@ -222,4 +225,4 @@ def parse(tokens: list[str], lexicon: Lexicon | None = None) -> ParsedUtterance:
                 raise fail(1, "expected 'are' or a verb after the bare plural")
 
     generic = bool(nps) and all(np.is_bare_plural for np in nps)
-    return ParsedUtterance(tuple(nps), verb, predicate, generic)
+    return ParsedUtterance(tuple(nps), verb, complement, complement_is_color, generic)

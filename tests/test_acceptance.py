@@ -29,7 +29,7 @@ from wugnet.learner import (
     learn_curriculum,
     observe,
 )
-from wugnet.lang import parse_text
+from wugnet.lang import parse
 from wugnet.matrix import (
     agglomerative_order,
     build_matrix,
@@ -230,20 +230,20 @@ def test_criterion_07_feature_inheritance_oracle():
 
 @criterion(8, "bare-plural genericity verdicts and total parse coverage")
 def test_criterion_08_parser_suite():
-    assert parse_text("bears sit").is_generic
-    assert not parse_text("a bear sits").is_generic
-    assert not parse_text("two balls").is_generic
-    wugs = parse_text("wugs are animals")
+    assert parse("bears sit").is_generic
+    assert not parse("a bear sits").is_generic
+    assert not parse("two balls").is_generic
+    wugs = parse("wugs are animals")
     assert wugs.is_generic and wugs.noun_phrases[0].novel
-    cookies = parse_text("cookies are light brown")
-    assert cookies.is_generic and cookies.predicate.complement_is_color
+    cookies = parse("cookies are light brown")
+    assert cookies.is_generic and cookies.complement_is_color
     parsed = 0
     for name in ("objects-and-kinds", "objects-kinds-and-generics",
                  "obj-actions-kinds-generics", "objects-and-actions",
                  "objects-and-colors"):
         for seed in (0, 1):
             for instance in builtin_curriculum(name, seed=seed).instances:
-                parse_text(instance.utterance)  # raises on any failure
+                parse(instance.utterance)  # raises on any failure
                 parsed += 1
     assert parsed > 0
 

@@ -20,7 +20,7 @@ from wugnet.curriculum import (
 )
 from wugnet.errors import FormatError
 from wugnet.graph import ConceptNetwork, network_to_text
-from wugnet.lang import LexEntry, Lexicon, default_lexicon, parse_text
+from wugnet.lang import LexEntry, Lexicon, default_lexicon, parse
 from wugnet.learner import learn_curriculum
 
 
@@ -181,7 +181,7 @@ def test_every_generated_utterance_parses(name):
     cur = builtin_curriculum(name, seed=2)
     assert cur.instances
     for inst in cur.instances:
-        parse_text(inst.utterance)
+        parse(inst.utterance)
 
 
 @pytest.mark.parametrize("name", ["objects-and-kinds", "obj-actions-kinds-generics"])

@@ -8,9 +8,9 @@ from wugnet.lang import (
     LexiconFormatError,
     ParseError,
     default_lexicon,
+    _parse,
     load_lexicon,
     parse,
-    parse_text,
     tokenize,
 )
 
@@ -33,7 +33,7 @@ def test_tokenize_joins_multiword_colors():
 
 
 def test_parse_bare_plural_verb_is_generic():
-    p = parse_text("bears sit")
+    p = parse("bears sit")
     assert p.is_generic
     assert p.verb == "sit"
     assert p.noun_phrases[0].lemma == "bear"
@@ -41,71 +41,71 @@ def test_parse_bare_plural_verb_is_generic():
 
 
 def test_parse_determiner_subject_is_not_generic():
-    p = parse_text("a bear sits")
+    p = parse("a bear sits")
     assert not p.is_generic
     assert p.verb == "sit"
     assert not p.noun_phrases[0].is_bare_plural
 
 
 def test_parse_novel_plural_subject():
-    p = parse_text("wugs are animals")
+    p = parse("wugs are animals")
     assert p.is_generic
     subject = p.noun_phrases[0]
     assert subject.lemma == "wug" and subject.novel
-    assert p.predicate.complement == "animal"
-    assert not p.predicate.complement_is_color
+    assert p.complement == "animal"
+    assert not p.complement_is_color
 
 
 def test_parse_color_predicate():
-    p = parse_text("cookies are light brown")
+    p = parse("cookies are light brown")
     assert p.is_generic
-    assert p.predicate.complement == "light-brown"
-    assert p.predicate.complement_is_color
+    assert p.complement == "light-brown"
+    assert p.complement_is_color
 
 
 def test_number_words_block_genericity():
-    p = parse_text("two balls")
+    p = parse("two balls")
     assert not p.is_generic
     assert p.noun_phrases[0].lemma == "ball" and not p.noun_phrases[0].is_bare_plural
-    p = parse_text("many cookies")
+    p = parse("many cookies")
     assert not p.is_generic and not p.noun_phrases[0].is_bare_plural
 
 
 def test_proper_noun_plural_is_generic():
-    p = parse_text("Moms eat")
+    p = parse("Moms eat")
     assert p.is_generic
     assert p.noun_phrases[0].lemma == "mom"
 
 
 def test_determiner_color_noun():
-    p = parse_text("a red truck")
+    p = parse("a red truck")
     np = p.noun_phrases[0]
     assert np.lemma == "truck" and np.modifier == "red"
-    assert p.verb is None and p.predicate is None
+    assert p.verb is None and p.complement is None
 
 
 def test_transitive_frames():
-    p = parse_text("Mom drinks juice")
+    p = parse("Mom drinks juice")
     assert p.verb == "drink"
     assert p.noun_phrases[1].lemma == "juice" and not p.noun_phrases[1].is_bare_plural
     assert not p.is_generic  # the mass object is a recognized non-plural noun
 
-    p2 = parse_text("a baby eats a cookie")
+    p2 = parse("a baby eats a cookie")
     assert len(p2.noun_phrases) == 2 and p2.noun_phrases[1].lemma == "cookie"
 
-    p3 = parse_text("bears eat cookies")
+    p3 = parse("bears eat cookies")
     assert p3.is_generic  # both noun phrases are bare plurals
 
 
 def test_bare_plural_alone_parses():
-    p = parse_text("bears")
-    assert p.is_generic and p.verb is None and p.predicate is None
+    p = parse("bears")
+    assert p.is_generic and p.verb is None and p.complement is None
 
 
 def test_people_is_its_own_bare_plural():
-    p = parse_text("snarps are people")
+    p = parse("snarps are people")
     assert p.is_generic
-    assert p.predicate.complement == "people"
+    assert p.complement == "people"
 
 
 @pytest.mark.parametrize("text,bad_token", [
@@ -124,25 +124,25 @@ def test_people_is_its_own_bare_plural():
 ])
 def test_parse_errors_name_the_offending_token(text, bad_token):
     with pytest.raises(ParseError) as err:
-        parse_text(text)
+        parse(text)
     assert err.value.token == bad_token
 
 
 def test_novel_plural_stem_is_a_whole_lexeme():
     # a stem ending in a newline is no lexeme, so no concept name
     with pytest.raises(ParseError):
-        parse(["wug\ns"], default_lexicon())
+        _parse(["wug\ns"], default_lexicon())
 
 
 def test_empty_utterance_rejected():
     with pytest.raises(ParseError):
-        parse([], default_lexicon())
+        parse("", default_lexicon())
 
 
 def test_predicate_and_verb_frame_are_exclusive():
     for text in ("bears sit", "bears are animals", "a bear sits"):
-        p = parse_text(text)
-        assert p.verb is None or p.predicate is None
+        p = parse(text)
+        assert p.verb is None or p.complement is None
 
 
 @given(st.sampled_from(sorted({e.lemma for e in default_lexicon().entries()
@@ -150,7 +150,7 @@ def test_predicate_and_verb_frame_are_exclusive():
 def test_plural_round_trip_recovers_the_lemma(lemma):
     lex = default_lexicon()
     plural = lex.plural_surface(lemma)
-    p = parse_text(plural, lex)
+    p = parse(plural, lex)
     assert p.noun_phrases[0].lemma == lemma
     assert p.noun_phrases[0].is_bare_plural
     assert not p.noun_phrases[0].novel
@@ -158,8 +158,8 @@ def test_plural_round_trip_recovers_the_lemma(lemma):
 
 def test_genericity_ignores_the_verb_form():
     # third-person and base verb forms resolve to the same verb lemma
-    assert parse_text("birds fly").verb == "fly"
-    assert parse_text("a bird flies").verb == "fly"
+    assert parse("birds fly").verb == "fly"
+    assert parse("a bird flies").verb == "fly"
 
 
 def test_lexicon_round_trip():

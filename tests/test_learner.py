@@ -194,22 +194,22 @@ def test_every_mentioned_lemma_has_a_node():
 
 def test_all_curriculum_mentions_become_nodes():
     from wugnet.curriculum import builtin_curriculum
-    from wugnet.lang import parse_text
+    from wugnet.lang import parse
     from wugnet.learner import learn_curriculum
 
     net = ConceptNetwork()
     curriculum = builtin_curriculum("obj-actions-kinds-generics", seed=1)
     learn_curriculum(net, curriculum)
     for instance in curriculum.instances:
-        parsed = parse_text(instance.utterance)
+        parsed = parse(instance.utterance)
         for np in parsed.noun_phrases:
             assert net.named(np.lemma), np.lemma
             if np.modifier:
                 assert net.get(np.modifier, ATTRIBUTE) is not None
         if parsed.verb is not None:
             assert net.get(parsed.verb, "action") is not None
-        if parsed.predicate is not None and parsed.predicate.complement_is_color:
-            assert net.get(parsed.predicate.complement, ATTRIBUTE) is not None
+        if parsed.complement_is_color:
+            assert net.get(parsed.complement, ATTRIBUTE) is not None
 
 
 def test_report_serializes_to_a_json_line():

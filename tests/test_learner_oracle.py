@@ -22,7 +22,7 @@ from wugnet.curriculum import (
     generate,
 )
 from wugnet.graph import ATTRIBUTE, IS, OBJECT, ConceptNetwork, network_to_text
-from wugnet.lang import default_lexicon, parse_text
+from wugnet.lang import default_lexicon, parse
 from wugnet.learner import ActionFrame, Entity, LearningInstance, Situation, observe
 from wugnet.tasks import NOVEL_OBJECTS, TASK2_CURRICULA, TASK3_CONDITIONS, membership_instance
 
@@ -36,7 +36,7 @@ def _outcome(observe_fn, net, instance):
 
 def _plain_order(created, instance):
     """The oracle's created list in the order the one walk creates nodes."""
-    parsed = parse_text(instance.utterance)
+    parsed = parse(instance.utterance)
     if not (parsed.is_generic and parsed.verb is not None and len(parsed.noun_phrases) > 1):
         return created
     order = [f"object/{np.lemma}" for np in parsed.noun_phrases] + [f"action/{parsed.verb}"]

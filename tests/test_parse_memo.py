@@ -1,9 +1,10 @@
-"""The per-lexicon tokenize and parse memos.
+"""The per-lexicon parse memo, keyed by the utterance text as written.
 
 Learning through a warm lexicon (every utterance already memoized) must give
 the same networks and reports as a fresh lexicon per instance; shared parse
 results are frozen; failures are never memoized; a curriculum file is walked
-once, when it is loaded.
+once per distinct utterance, when it is loaded. Spellings of the same tokens
+are memoized apart and learn the same.
 """
 
 from dataclasses import FrozenInstanceError
@@ -21,10 +22,10 @@ from wugnet.curriculum import (
     curriculum_to_text,
 )
 from wugnet.graph import ConceptNetwork, network_to_text
-from wugnet.lang import DEFAULT_LEXICON_TEXT, Lexicon, ParseError, parse, parse_text, tokenize
+from wugnet.lang import DEFAULT_LEXICON_TEXT, Lexicon, ParseError, parse
 from wugnet.learner import LearningInstance, Situation, learn_curriculum, observe
 
-# one lexicon shared by every test here, so its memos only grow
+# one lexicon shared by every test here, so its memo only grows
 WARM = Lexicon.from_text(DEFAULT_LEXICON_TEXT)
 
 
@@ -42,21 +43,21 @@ def _outcome(net, instance, lex):
 def _warm_up(utterances):
     for text in utterances:
         try:
-            parse_text(text, WARM)
+            parse(text, WARM)
         except ParseError:
             pass
 
 
 def _learn_warm_and_fresh(instances_):
     _warm_up(i.utterance for i in instances_)
-    memo_size = len(WARM._tokens), len(WARM._parses)
+    memo_size = len(WARM._parses)
     warm, fresh = ConceptNetwork(), ConceptNetwork()
     for instance in instances_:
         assert _outcome(warm, instance, WARM) == _outcome(fresh, instance, _fresh()), \
             instance.utterance
         assert network_to_text(warm) == network_to_text(fresh), instance.utterance
     # every warm observe was a memo hit
-    assert (len(WARM._tokens), len(WARM._parses)) == memo_size
+    assert len(WARM._parses) == memo_size
 
 
 @pytest.mark.parametrize("seed", [0, 7])
@@ -74,45 +75,34 @@ def test_generated_instances_learn_the_same_through_a_warm_lexicon(batch):
 
 def test_a_second_parse_returns_the_same_object():
     lex = _fresh()
-    tokens = tokenize("a red dog eats the cookie", lex)
-    first = parse(tokens, lex)
-    assert parse(list(tokens), lex) is first
-    assert parse(tuple(tokens), lex) is first
-    assert parse_text("A red dog eats the cookie.", lex) is first
-    assert len(lex._parses) == 1
+    first = parse("a red dog eats the cookie", lex)
+    assert parse("a red dog eats the cookie", lex) is first
+    assert list(lex._parses) == ["a red dog eats the cookie"]
+    # another spelling of the same tokens is its own entry, with an equal parse
+    other = parse("A red  dog eats the cookie.", lex)
+    assert other == first and other is not first
+    assert list(lex._parses) == ["a red dog eats the cookie", "A red  dog eats the cookie."]
 
 
-@pytest.mark.parametrize("text, tokenizes", [
-    ("a2 dog", False), ("bears.sit", False), ("the dogs", True), ("dogs are", True),
-    ("dogs sit a", True), ("", True), ("Mom", True), ("two", True)])
-def test_a_failure_is_raised_again_and_not_memoized(text, tokenizes):
+@pytest.mark.parametrize("text", [
+    "a2 dog", "bears.sit", "the dogs", "dogs are", "dogs sit a", "", "Mom", "two"])
+def test_a_failure_is_raised_again_and_not_memoized(text):
     lex = _fresh()
     errors = []
     for _ in range(2):
         with pytest.raises(ParseError) as info:
-            parse_text(text, lex)
+            parse(text, lex)
         errors.append((str(info.value), info.value.token, info.value.position))
     assert errors[0] == errors[1]
-    assert list(lex._tokens) == ([text] if tokenizes else [])
     assert not lex._parses
 
 
-def test_mutating_a_token_list_leaves_the_memo_alone():
-    lex = _fresh()
-    tokens = tokenize("Two light brown dogs", lex)
-    assert tokens == ["two", "light-brown", "dogs"]
-    tokens[0] = "three"
-    tokens.append("sit")
-    again = tokenize("Two light brown dogs", lex)
-    assert again == ["two", "light-brown", "dogs"] and again is not tokens
-
-
 def test_parse_results_are_frozen():
-    p = parse_text("dogs are animals", _fresh())
-    q = parse_text("dad takes the cup", _fresh())
+    p = parse("dogs are animals", _fresh())
+    q = parse("dad takes the cup", _fresh())
     assert isinstance(p.noun_phrases, tuple)
     for obj, field in ((p, "is_generic"), (p, "noun_phrases"), (p.noun_phrases[0], "lemma"),
-                       (p.predicate, "complement"), (q, "verb")):
+                       (p, "complement"), (p, "complement_is_color"), (q, "verb")):
         with pytest.raises(FrozenInstanceError):
             setattr(obj, field, None)
 
@@ -122,20 +112,58 @@ def test_novelty_is_read_per_lexicon_whichever_parses_first(default_first):
     default, with_wug = _fresh(), Lexicon.from_text(DEFAULT_LEXICON_TEXT
                                                     + "word wug noun lemma=wug\n")
     order = [default, with_wug] if default_first else [with_wug, default]
-    novel = {id(lex): parse_text("wugs are animals", lex).noun_phrases[0].novel for lex in order}
+    novel = {id(lex): parse("wugs are animals", lex).noun_phrases[0].novel for lex in order}
     assert novel == {id(default): True, id(with_wug): False}
 
 
 def test_a_loaded_curriculum_is_not_walked_again_when_learned(monkeypatch):
     lex = _fresh()
     text = curriculum_to_text(builtin_curriculum("obj-actions-kinds-generics"))
-    walks = []
-    walk = lang._parse
+    reads, walks = [], []
+    read, walk = lang.tokenize, lang._parse
+    monkeypatch.setattr(lang, "tokenize", lambda text, lx: reads.append(text) or read(text, lx))
     monkeypatch.setattr(lang, "_parse",
                         lambda tokens, lx: walks.append(tokens) or walk(tokens, lx))
     curriculum = curriculum_from_text(text, lexicon=lex)
-    distinct = {tuple(tokenize(i.utterance, lex)) for i in curriculum.instances}
+    distinct = {i.utterance for i in curriculum.instances}
+    # each distinct text is tokenized and walked once: only a memo miss tokenizes
     assert len(walks) == len(distinct) < len(curriculum.instances)
+    assert sorted(reads) == sorted(distinct) == sorted(lex._parses)
+    reads.clear()
     walks.clear()
     learn_curriculum(ConceptNetwork(), curriculum, lexicon=lex)
-    assert walks == []
+    assert reads == walks == []
+
+
+def _respelled(text, i):
+    """The same tokens spelled otherwise: capitalized, spaces doubled, `.` or `!` added."""
+    return (text[0].upper() + text[1:]).replace(" ", "  ") + ".!"[i % 2]
+
+
+def _learn(instances, lex):
+    net, reports = ConceptNetwork(), []
+    for instance in instances:
+        reports.append(observe(net, instance, lex))
+    return network_to_text(net), reports
+
+
+@pytest.mark.parametrize("seed", [0, 7])
+@pytest.mark.parametrize("name", sorted(BUILTIN_PHASES))
+def test_a_respelled_curriculum_learns_the_same_through_one_lexicon(name, seed):
+    lex = _fresh()
+    canonical = builtin_curriculum(name, seed=seed).instances
+    respelled = [LearningInstance(instance.situation, _respelled(instance.utterance, i))
+                 for i, instance in enumerate(canonical)]
+    text, reports = _learn(canonical, lex)
+    text_again, reports_again = _learn(respelled, lex)
+    assert text_again == text
+    for report, again, instance in zip(reports, reports_again, respelled):
+        assert again.utterance == instance.utterance
+        assert (again.is_generic, again.created, again.edges, again.mismatches) == (
+            report.is_generic, report.created, report.edges, report.mismatches), \
+            instance.utterance
+    # every spelling has its own memo entry
+    texts = {i.utterance for i in canonical}
+    texts_again = {i.utterance for i in respelled}
+    assert texts.isdisjoint(texts_again)
+    assert set(lex._parses) == texts | texts_again

@@ -1,7 +1,8 @@
-"""lang.parse and lang.tokenize against the original implementations.
+"""lang's template walk and tokenizer against the original implementations.
 
-Comparisons are exact: the same ParsedUtterance, or a ParseError with the
-same message, token and position.
+The walk is lang._parse, driven on token sequences without the memo that
+lang.parse keeps per text. Comparisons are exact: the same
+ParsedUtterance, or a ParseError with the same message, token and position.
 """
 
 from itertools import product
@@ -10,7 +11,7 @@ import pytest
 
 import parse_oracle
 from wugnet.curriculum import BUILTIN_PHASES, builtin_curriculum
-from wugnet.lang import ParseError, default_lexicon, parse, tokenize
+from wugnet.lang import ParseError, _parse, default_lexicon, parse, tokenize
 
 # At least one surface form per part of speech, both number-word counts
 # (2 and vague), and every way a token can read (or fail to read) as a
@@ -40,7 +41,7 @@ def test_every_short_token_sequence_parses_as_before():
     for length in range(5):
         for tokens in product(VOCABULARY, repeat=length):
             expected = outcome(parse_oracle.parse, tokens, lex)
-            assert outcome(parse, tokens, lex) == expected, tokens
+            assert outcome(_parse, tokens, lex) == expected, tokens
             checked += 1
     assert checked == sum(len(VOCABULARY) ** k for k in range(5))
 
@@ -52,4 +53,6 @@ def test_builtin_curricula_tokenize_and_parse_as_before(name, seed):
     for instance in builtin_curriculum(name, seed=seed).instances:
         tokens = tokenize(instance.utterance, lex)
         assert tokens == parse_oracle.tokenize(instance.utterance, lex)
-        assert outcome(parse, tokens, lex) == outcome(parse_oracle.parse, tokens, lex)
+        expected = outcome(parse_oracle.parse, tokens, lex)
+        assert outcome(_parse, tokens, lex) == expected
+        assert outcome(parse, instance.utterance, lex) == expected
