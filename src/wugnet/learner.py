@@ -189,32 +189,40 @@ def observe(net: ConceptNetwork, instance: LearningInstance,
 
     Every mentioned lemma ends up with a concept node. A plural-noun
     complement ("dogs are animals", "wugs are animals") goes to
-    _membership_generic. Every other shape links each noun phrase to its
-    color (modifier or color complement), then the verb's subject and object
-    to its argument slots: with the plateauing update when the utterance is
+    _membership_generic. Every other shape links the subject to its color
+    (modifier or color complement), then the verb's subject and object to
+    its argument slots: with the plateauing update when the utterance is
     plain, pinned at 1.0 and marked generic when it is generic.
     """
-    lex = lexicon or default_lexicon()
-    parsed = parse(instance.utterance, lex)
+    parsed = parse(instance.utterance, lexicon)
     report = ObservationReport(instance.utterance, parsed.is_generic, parsed, instance.situation)
     if parsed.complement is not None and not parsed.complement_is_color:
         _membership_generic(net, report, parsed)
         return report
 
-    nodes = [_ensure(net, report, np.lemma, OBJECT) for np in parsed.noun_phrases]
-    links = [(node, _ensure(net, report, np.modifier, ATTRIBUTE), IS)
-             for np, node in zip(parsed.noun_phrases, nodes) if np.modifier is not None]
-    if parsed.complement is not None:
-        color = _ensure(net, report, parsed.complement, ATTRIBUTE)
-        links.append((nodes[0], color, IS))
-    if parsed.verb is not None:
-        action = _ensure(net, report, parsed.verb, ACTION)
-        links.append((nodes[0], action, SLOT1))
-        if len(nodes) > 1:
-            links.append((nodes[1], action, SLOT2))
-    weight = 1.0 if parsed.is_generic else None
-    for src, dst, label in links:
-        _link(net, report, src, dst, label, weight, parsed.is_generic)
+    # Straight-line code over noun phrase 0 (the subject) and 1 (a verb's object,
+    # which the parser gives no colour): before CPython 3.12 (PEP 709) a
+    # comprehension here is a function object built per call, with net and
+    # report in closure cells.
+    subject_np = parsed.noun_phrases[0]
+    subject = _ensure(net, report, subject_np.lemma, OBJECT)
+    obj = (_ensure(net, report, parsed.noun_phrases[1].lemma, OBJECT)
+           if len(parsed.noun_phrases) > 1 else None)
+    modifier = (None if subject_np.modifier is None
+                else _ensure(net, report, subject_np.modifier, ATTRIBUTE))
+    color = (None if parsed.complement is None
+             else _ensure(net, report, parsed.complement, ATTRIBUTE))
+    action = None if parsed.verb is None else _ensure(net, report, parsed.verb, ACTION)
+    generic = parsed.is_generic
+    weight = 1.0 if generic else None
+    if modifier is not None:
+        _link(net, report, subject, modifier, IS, weight, generic)
+    if color is not None:
+        _link(net, report, subject, color, IS, weight, generic)
+    if action is not None:
+        _link(net, report, subject, action, SLOT1, weight, generic)
+        if obj is not None:
+            _link(net, report, obj, action, SLOT2, weight, generic)
     return report
 
 

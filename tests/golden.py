@@ -1,0 +1,127 @@
+"""The golden manifest: sha256 digests of the outputs that must stay byte-identical.
+
+Each entry names one output, computed in-process the way the CLI or the
+benchmark makes it:
+
+- `run-task/task<k>.csv` and `.svg`: `wugnet run-task k` at seed 0;
+- `export-matrix/<builtin>.csv` and `export-clusters/<builtin>.txt`:
+  `wugnet export` on each built-in curriculum's network learned at seed 0,
+  read back from its saved text as `export` reads it;
+- `task2-journal/<builtin>.jsonl`: the `--trace` journal of each task 2
+  curriculum learned at seed 0, then of task 2's three novel-member generics;
+- `novel-members/network.txt` and `novel-members/clusters.txt`: the
+  4045-row network that perfbench's novel-members inputs (seed 0, 1000
+  nouns, 3000 generics) learn, and its cluster text.
+
+tests/test_golden.py checks each entry against tests/golden.json. That file
+changes only through this script:
+
+    PYTHONPATH=src python tests/golden.py --record
+"""
+
+from __future__ import annotations
+
+import hashlib
+import importlib.util
+import json
+import sys
+import tempfile
+from functools import cache
+from pathlib import Path
+
+from wugnet.curriculum import BUILTIN_PHASES, builtin_curriculum
+from wugnet.graph import ConceptNetwork, network_from_text, network_to_text
+from wugnet.learner import learn_curriculum, observe
+from wugnet.matrix import agglomerative_order, build_matrix, clusters_to_text, matrix_to_csv
+from wugnet.tasks import (
+    NOVEL_OBJECTS,
+    TASK2_CURRICULA,
+    membership_instance,
+    run_task,
+    write_task_outputs,
+)
+
+ROOT = Path(__file__).resolve().parents[1]
+MANIFEST = Path(__file__).resolve().parent / "golden.json"
+
+
+@cache
+def _task_files(task_id: int) -> dict[str, bytes]:
+    with tempfile.TemporaryDirectory() as out:
+        paths = write_task_outputs(run_task(task_id, seed=0), out)
+        return {path.name: path.read_bytes() for path in paths}
+
+
+@cache
+def _builtin_matrix(name: str):
+    net = ConceptNetwork()
+    learn_curriculum(net, builtin_curriculum(name, seed=0))
+    return build_matrix(network_from_text(network_to_text(net)))
+
+
+def _clusters(matrix) -> bytes:
+    return clusters_to_text(*agglomerative_order(matrix)).encode("utf-8")
+
+
+def _task2_journal(name: str) -> bytes:
+    net = ConceptNetwork()
+    lines: list[str] = []
+    learn_curriculum(net, builtin_curriculum(name, seed=0),
+                     on_report=lambda i, report: lines.append(report.to_json_line(i)))
+    for novel, category in NOVEL_OBJECTS:
+        lines.append(observe(net, membership_instance(novel, category)).to_json_line(len(lines)))
+    return "".join(line + "\n" for line in lines).encode("utf-8")
+
+
+@cache
+def _novel_members() -> ConceptNetwork:
+    spec = importlib.util.spec_from_file_location("synth", ROOT / "perfbench" / "synth.py")
+    synth = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(synth)
+    lexicon, curriculum, generics = synth.novel_members_inputs(0, 1000, 3000)
+    net = ConceptNetwork()
+    learn_curriculum(net, curriculum, lexicon)
+    for instance in generics:
+        observe(net, instance, lexicon)
+    return net
+
+
+def outputs() -> dict:
+    """Entry name -> a function computing that output's bytes."""
+    entries = {}
+    for k in (1, 2, 3):
+        for suffix in ("csv", "svg"):
+            entries[f"run-task/task{k}.{suffix}"] = \
+                lambda k=k, suffix=suffix: _task_files(k)[f"task{k}.{suffix}"]
+    for name in sorted(BUILTIN_PHASES):
+        entries[f"export-matrix/{name}.csv"] = \
+            lambda name=name: matrix_to_csv(_builtin_matrix(name)).encode("utf-8")
+        entries[f"export-clusters/{name}.txt"] = lambda name=name: _clusters(_builtin_matrix(name))
+    for name in TASK2_CURRICULA:
+        entries[f"task2-journal/{name}.jsonl"] = lambda name=name: _task2_journal(name)
+    entries["novel-members/network.txt"] = \
+        lambda: network_to_text(_novel_members()).encode("utf-8")
+    entries["novel-members/clusters.txt"] = lambda: _clusters(build_matrix(_novel_members()))
+    return entries
+
+
+def digest(name: str) -> str:
+    return hashlib.sha256(outputs()[name]()).hexdigest()
+
+
+def load_manifest() -> dict[str, str]:
+    return json.loads(MANIFEST.read_text(encoding="utf-8"))
+
+
+def main(argv: list[str]) -> int:
+    if argv != ["--record"]:
+        print("usage: PYTHONPATH=src python tests/golden.py --record", file=sys.stderr)
+        return 2
+    digests = {name: digest(name) for name in outputs()}
+    MANIFEST.write_text(json.dumps(digests, indent=1, sort_keys=True) + "\n", encoding="utf-8")
+    print(f"recorded {len(digests)} digests in {MANIFEST}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))

@@ -1,12 +1,22 @@
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from journal_replay import replay
+from test_learner_oracle import PRIMER, instances
 from wugnet.cli import main
-from wugnet.curriculum import BUILTIN_PHASES, builtin_curriculum
+from wugnet.curriculum import BUILTIN_PHASES, Curriculum, builtin_curriculum
 from wugnet.graph import ConceptNetwork, load_network, network_to_text
-from wugnet.learner import learn_curriculum, observe
+from wugnet.lang import ParseError
+from wugnet.learner import (
+    LearningInstance,
+    Situation,
+    UnlearnableGeneric,
+    learn_curriculum,
+    observe,
+)
 from wugnet.tasks import NOVEL_OBJECTS, TASK2_CURRICULA, membership_instance
 
 # A plain utterance after the generic that pinned its edge: the third
@@ -76,3 +86,35 @@ def test_an_edited_intermediate_weight_fails_replay(field):
     write[3 if field == "old" else 4] += 0.125
     with pytest.raises(ValueError, match=f"journalled {field} weight"):
         replay(json.dumps(report) for report in reports)
+
+
+def _learn_journalled(net, batch, lines):
+    """learn_curriculum with on_report journal lines, skipping each instance it cannot learn.
+
+    Such an instance raises before it writes, so the network holds exactly
+    the journalled instances.
+    """
+    def journal(i, report):
+        lines.append(report.to_json_line(len(lines)))
+
+    pending = list(batch)
+    while pending:
+        learned = len(lines)
+        try:
+            learn_curriculum(net, Curriculum("generated", tuple(pending)), on_report=journal)
+            return
+        except (ParseError, UnlearnableGeneric):
+            pending = pending[len(lines) - learned + 1:]
+
+
+# Shapes no built-in curriculum has, such as a coloured subject with a verb
+# object, and novel members joining primed categories.
+@settings(max_examples=200, deadline=None)
+@given(st.booleans(), st.lists(instances(), max_size=25))
+def test_generated_instances_replay_to_the_learned_network(primed, batch):
+    net = ConceptNetwork()
+    lines = []
+    if primed:
+        _learn_journalled(net, [LearningInstance(Situation(), text) for text in PRIMER], lines)
+    _learn_journalled(net, batch, lines)
+    _assert_replays(lines, net)
