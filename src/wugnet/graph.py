@@ -4,15 +4,16 @@ Concepts are (kind, name) pairs. Directed edges carry an association
 strength in [0, 1] that plateaus toward 1.0 under repeated observation
 and jumps straight to 1.0 when asserted by a generic statement.
 
-Each edge is stored once, in its source's out-edge dict. Every edge write
-goes through one path, ConceptNetwork.write, and every node comes from
-add_concept; the two make every node and edge check, and the file loader
-adds only the checks of its own syntax. write also keeps a category ->
-members index, so members_of costs O(members) rather than a scan of
-every edge. member_average owns the float summation order of feature
-inheritance: each mean is a left fold from +0.0 over the members' weights
-in members_of order, divided by the member count. Keeping that order
-fixed is what keeps saved network files byte-identical.
+Each edge is stored once, as its float weight in its source's out-edge
+dict; a source's generic flags are a set of its (target, label) keys.
+Every edge write goes through one path, ConceptNetwork.write, and every
+node comes from add_concept; the two make every node and edge check, and
+the file loader adds only the checks of its own syntax. write also keeps
+a category -> members index, so members_of costs O(members) rather than
+a scan of every edge. member_average owns the float summation order of
+feature inheritance: each mean is a left fold from +0.0 over the members'
+weights in members_of order, divided by the member count. Keeping that
+order fixed is what keeps saved network files byte-identical.
 
 So the fold is a Python loop, or, for a large category, np.add.accumulate
 down the rows of its weight block: accumulate is defined as
@@ -26,8 +27,10 @@ from __future__ import annotations
 
 import re
 from bisect import bisect_left, insort
-from dataclasses import dataclass
+from collections.abc import Iterator, Mapping
+from operator import itemgetter
 from pathlib import Path
+from types import MappingProxyType
 from typing import NamedTuple
 
 import numpy as np
@@ -91,13 +94,18 @@ class Concept(NamedTuple):
         return self.key
 
 
-@dataclass(slots=True)
-class Edge:
+class Edge(NamedTuple):
+    """A snapshot of one edge, as edge() and edges() return it.
+
+    The network stores only the weight and the generic flag, so a later
+    write does not change a snapshot, and a snapshot cannot change the edge.
+    """
+
     source: Concept
     target: Concept
     label: str
-    weight: float = 0.0
-    generic_origin: bool = False
+    weight: float
+    generic_origin: bool
 
 
 # The (label, target kind) pairs an edge may have; _check_label names the
@@ -114,8 +122,8 @@ def _check_label(target: Concept, label: str) -> None:
         raise EdgeRuleError(f"is edge must point at an attribute or category, not {target.key}")
 
 
-def _member_order(node: Concept) -> tuple[str, str]:
-    return (node.name, node.kind)
+# a member's sort key, (name, kind): Concept is (kind, name)
+_member_order = itemgetter(1, 0)
 
 
 class _Fold:
@@ -149,25 +157,38 @@ class ConceptNetwork:
     """Mutable store of concepts and slot-labeled association edges.
 
     Single writer during learning; read-only (by convention) afterwards.
-    _out maps each node to its out-edges keyed by (target, label), the
-    only edge store. add_concept is the one node path and write the one
-    edge path: each makes every check of its kind, and the file loader
-    goes through both. copy() alone does not: it copies edges and member
-    lists that have already passed them.
+    The edge store is two maps. _out maps each node to its out-edges: a
+    dict from (target, label) to the edge's float weight. _generic maps a
+    source with generic edges to the set of their (target, label) keys; a
+    source gets its set with its first generic edge and loses it with its
+    last, so no set is empty. An edge is a float, not an object: a loaded
+    network holds tens of thousands, and none is tracked by the garbage
+    collector. _keys holds one (target, label) tuple per distinct key, and
+    write files a new edge under it, so the sources' dicts share a few
+    hundred key tuples rather than holding one each. edge() and edges()
+    return Edge snapshots built on the call.
+    add_concept is the one node path and write the one edge path: each
+    makes every check of its kind, and the file loader goes through both.
+    copy() alone does not: it copies edges and member lists that have
+    already passed them.
     When it creates an `is` edge into a category it inserts the source
     into that category's member list, kept sorted by (name, kind), so
     members_of is a copy of that list: O(members), not O(edges).
     member_average sums over that list in its order; that fixed order is
     what keeps network files holding inherited features byte-identical.
     A category that has been averaged at FOLD_MIN_MEMBERS or more members
-    keeps a _Fold, and write marks the fold row of every member it writes.
+    keeps a _Fold. _member_folds maps each of its members to the folds it
+    has a row in, so write marks a written member's rows in one lookup.
     """
 
     def __init__(self):
         self._nodes: dict[tuple[str, str], Concept] = {}
-        self._out: dict[Concept, dict[tuple[Concept, str], Edge]] = {}
+        self._out: dict[Concept, dict[tuple[Concept, str], float]] = {}
+        self._generic: dict[Concept, set[tuple[Concept, str]]] = {}
         self._members: dict[Concept, list[Concept]] = {}
         self._folds: dict[Concept, _Fold] = {}
+        self._member_folds: dict[Concept, list[_Fold]] = {}
+        self._keys: dict[tuple[Concept, str], tuple[Concept, str]] = {}
 
     # -- nodes ---------------------------------------------------------
 
@@ -207,15 +228,31 @@ class ConceptNetwork:
     # -- edges ---------------------------------------------------------
 
     def edges(self) -> list[Edge]:
-        """All edges, unsorted: grouped by source, in the order the store holds them."""
-        return [e for out in self._out.values() for e in out.values()]
+        """Snapshots of all edges, unsorted: grouped by source, in the store's order."""
+        generic = self._generic
+        return [Edge(src, dst, label, weight, (dst, label) in generic.get(src, ()))
+                for src, out in self._out.items() for (dst, label), weight in out.items()]
+
+    def adjacency(self) -> Iterator[tuple[Concept, Mapping[tuple[Concept, str], float]]]:
+        """Each node with a read-only view of its out-edge weights, keyed by (target, label).
+
+        Nodes come in the order the store holds them. No object is built
+        per edge, so a reader of every weight (build_matrix) pays only for
+        its own work.
+        """
+        return ((src, MappingProxyType(out)) for src, out in self._out.items())
 
     def edge_count(self) -> int:
         """Number of edges, counted without building or sorting them."""
         return sum(map(len, self._out.values()))
 
     def edge(self, src: Concept, dst: Concept, label: str) -> Edge | None:
-        return self._out.get(src, {}).get((dst, label))
+        """A snapshot of the edge, or None when there is none."""
+        key = (dst, label)
+        weight = self._out.get(src, {}).get(key)
+        if weight is None:
+            return None
+        return Edge(src, dst, label, weight, key in self._generic.get(src, ()))
 
     def write(self, src: Concept, dst: Concept, label: str, weight: float | None,
               generic: bool) -> tuple[float, float, bool]:
@@ -243,33 +280,46 @@ class ConceptNetwork:
                 raise ValueError("generic edges must have weight 1.0")
         elif generic:
             raise ValueError("a plateauing write cannot mark an edge generic")
-        e = out.get((dst, label))
-        if e is None:
-            e = out[(dst, label)] = Edge(src, dst, label)
+        key = (dst, label)
+        old = out.get(key)
+        if old is None:
+            old = 0.0
+            key = self._keys.setdefault(key, key)
             if label == IS and dst.kind == CATEGORY:
                 insort(self._members.setdefault(dst, []), src, key=_member_order)
-        if self._folds:
-            for category, fold in self._folds.items():
-                if (category, IS) in out:
-                    fold.dirty.add(src)
-        old = e.weight
+                fold = self._folds.get(dst)
+                if fold is not None:
+                    self._member_folds.setdefault(src, []).append(fold)
+        folds = self._member_folds.get(src)
+        if folds is not None:
+            for fold in folds:
+                fold.dirty.add(src)
+        flags = self._generic.get(src)
         if weight is None:
-            if not e.generic_origin:
-                e.weight = e.weight + LEARNING_RATE * (1.0 - e.weight)
-        else:
-            e.weight = weight
-            e.generic_origin = generic
-        return old, e.weight, e.generic_origin
+            if flags is not None and key in flags:
+                return old, old, True
+            new = out[key] = old + LEARNING_RATE * (1.0 - old)
+            return old, new, False
+        out[key] = weight
+        if generic:
+            if flags is None:
+                self._generic[src] = {key}
+            else:
+                flags.add(key)
+        elif flags is not None:
+            flags.discard(key)
+            if not flags:
+                del self._generic[src]
+        return old, weight, generic
 
     def get_strength(self, src: Concept, dst: Concept, label: str) -> float:
         """Current weight of src->dst, 0.0 when no such edge exists."""
-        e = self.edge(src, dst, label)
-        return e.weight if e is not None else 0.0
+        return self._out.get(src, {}).get((dst, label), 0.0)
 
     def neighbors(self, node: Concept) -> list[tuple[Concept, str, float]]:
         """Outgoing edges of a node, sorted by target name then label."""
         self._require_member(node)
-        out = [(e.target, e.label, e.weight) for e in self._out[node].values()]
+        out = [(target, label, weight) for (target, label), weight in self._out[node].items()]
         out.sort(key=lambda t: (t[0].name, t[0].kind, t[1]))
         return out
 
@@ -308,6 +358,8 @@ class ConceptNetwork:
         fold = self._folds.get(category)
         if fold is None and n >= FOLD_MIN_MEMBERS:
             fold = self._folds[category] = _Fold(members)
+            for member in members:
+                self._member_folds.setdefault(member, []).append(fold)
         if fold is not None:
             self._read_rows(fold)
             totals = _fold_totals(fold.block[:n + 1])
@@ -315,8 +367,8 @@ class ConceptNetwork:
                     for (target, label), j in sorted(fold.columns.items())]
         totals: dict[tuple[Concept, str], float] = {}
         for member in members:
-            for key, e in self._out[member].items():
-                totals[key] = totals.get(key, 0.0) + e.weight
+            for key, weight in self._out[member].items():
+                totals[key] = totals.get(key, 0.0) + weight
         return [(target, label, totals[(target, label)] / n) for target, label in sorted(totals)]
 
     def _read_rows(self, fold: _Fold) -> None:
@@ -364,29 +416,30 @@ class ConceptNetwork:
             end = i
         for member, k in zip(dirty, rows):
             row = block[k]
-            for key, e in out[member].items():
-                row[columns[key]] = e.weight
+            for key, weight in out[member].items():
+                row[columns[key]] = weight
 
     # -- whole-network helpers ------------------------------------------
 
     def copy(self) -> "ConceptNetwork":
-        """An independent network: new Edge objects and member lists, no folds.
+        """An independent network: new edge dicts, generic-flag sets and member lists, no folds.
 
-        Concepts are immutable and shared. A copy starts without folds;
-        member_average builds them again when it needs them.
+        Concepts, weights and key tuples are immutable and shared. A copy
+        starts without folds; member_average builds them again when it needs
+        them.
         """
         out = ConceptNetwork()
         out._nodes = dict(self._nodes)
-        out._out = {src: {key: Edge(e.source, e.target, e.label, e.weight, e.generic_origin)
-                          for key, e in edges.items()}
-                    for src, edges in self._out.items()}
+        out._out = {src: dict(edges) for src, edges in self._out.items()}
+        out._generic = {src: set(keys) for src, keys in self._generic.items()}
+        out._keys = dict(self._keys)
         out._members = {category: list(members) for category, members in self._members.items()}
         return out
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, ConceptNetwork):
             return NotImplemented
-        return self._out == other._out
+        return self._out == other._out and self._generic == other._generic
 
     def __len__(self) -> int:
         return len(self._nodes)
@@ -401,65 +454,108 @@ def diff_networks(before: ConceptNetwork, after: ConceptNetwork) -> list[str]:
         out.append(f"+node {kind}/{name}")
     for kind, name in sorted(b_nodes - a_nodes):
         out.append(f"-node {kind}/{name}")
-    b_edges = {(e.source.key, e.label, e.target.key): e for e in before.edges()}
-    a_edges = {(e.source.key, e.label, e.target.key): e for e in after.edges()}
-    for key in sorted(set(a_edges) - set(b_edges)):
-        e = a_edges[key]
-        out.append(f"+edge {key[0]} {key[1]} {key[2]} = {e.weight:.17g}")
-    for key in sorted(set(b_edges) - set(a_edges)):
+    b_edges, a_edges = _edge_states(before), _edge_states(after)
+    for key in sorted(a_edges.keys() - b_edges.keys()):
+        out.append(f"+edge {key[0]} {key[1]} {key[2]} = {a_edges[key][0]:.17g}")
+    for key in sorted(b_edges.keys() - a_edges.keys()):
         out.append(f"-edge {key[0]} {key[1]} {key[2]}")
-    for key in sorted(set(b_edges) & set(a_edges)):
-        b, a = b_edges[key], a_edges[key]
-        if b.weight != a.weight or b.generic_origin != a.generic_origin:
-            out.append(f"~edge {key[0]} {key[1]} {key[2]} {b.weight:.17g} -> {a.weight:.17g}")
+    for key in sorted(b_edges.keys() & a_edges.keys()):
+        (b_weight, b_generic), (a_weight, a_generic) = b_edges[key], a_edges[key]
+        if b_weight != a_weight or b_generic != a_generic:
+            out.append(f"~edge {key[0]} {key[1]} {key[2]} {b_weight:.17g} -> {a_weight:.17g}")
     return out
+
+
+def _edge_states(net: ConceptNetwork) -> dict[tuple[str, str, str], tuple[float, bool]]:
+    """(source key, label, target key) -> (weight, generic flag), read from the store."""
+    generic = net._generic
+    return {(src.key, label, dst.key): (weight, (dst, label) in generic.get(src, ()))
+            for src, out in net._out.items() for (dst, label), weight in out.items()}
 
 
 # -- persistence --------------------------------------------------------
 
+_HEADER = "conceptnet v1"
+_FLAGS = {"generic:0": False, "generic:1": True}
+
+
 def network_to_text(net: ConceptNetwork) -> str:
     """Header, nodes sorted by kind and name, then edges sorted by source, target and label.
 
-    Each node's key is formatted once; edges are walked per source in the
-    node order, each source's out-edges sorted by (target, label).
+    Each node's key, and each (target, label)'s middle field, is formatted
+    once. The (target, label) keys are sorted once, across the network;
+    each source's out-edges are then walked in the node order, sorted by
+    their keys' ranks, ints, rather than by comparing tuples.
     """
     nodes = net.concepts()
-    keys = {node: f"{node.kind}/{node.name}" for node in nodes}
-    lines = ["conceptnet v1"]
+    names = {node: f"{node.kind}/{node.name}" for node in nodes}
+    store, generic = net._out, net._generic
+    keys = sorted({key for out in store.values() for key in out})
+    rank = {key: i for i, key in enumerate(keys)}
+    middles = [f" {label} {names[dst]} " for dst, label in keys]
+    lines = [_HEADER]
     lines.extend(f"node {node.kind} {node.name}" for node in nodes)
     for src in nodes:
-        out = net._out[src]
+        out = store[src]
         if out:
-            head = f"edge {keys[src]} "
-            lines.extend(f"{head}{label} {keys[dst]} {e.weight:.17g} generic:{int(e.generic_origin)}"
-                         for (dst, label), e in sorted(out.items()))
+            head = f"edge {names[src]}"
+            flags = generic.get(src, ())
+            for i in sorted(map(rank.__getitem__, out)):
+                key = keys[i]
+                lines.append(f"{head}{middles[i]}{out[key]:.17g} generic:{int(key in flags)}")
     return "\n".join(lines) + "\n"
 
 
 def network_from_text(text: str) -> ConceptNetwork:
     """Parse network_to_text's format; a bad line raises NetworkFormatError with its number.
 
-    Node lines map each `kind/name` key to its Concept, so an edge line
-    looks both keys up in one probe each; _node_from_key is called only
-    to raise the error for a key that misses. A second line for the same
-    (source, label, target) is rejected, after the checks on the line's
-    own fields, not left to overwrite the first.
+    Each line is split once, and edge lines, most of a file, are tested
+    first; only the header line is stripped. Node lines map each
+    `kind/name` key to its Concept, so an edge line looks both keys up in
+    one probe each; _node_from_key is called only to raise the error for
+    a key that misses. A second line for the same (source, label, target)
+    is rejected, after the checks on the line's own fields, not left to
+    overwrite the first.
     """
     net = ConceptNetwork()
     write, out = net.write, net._out
     nodes: dict[str, Concept] = {}
-    seen_header = False
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        if not seen_header:
-            if line != "conceptnet v1":
-                raise NetworkFormatError(f"expected header 'conceptnet v1', got {line!r}", lineno)
-            seen_header = True
-            continue
+    lines = enumerate(text.splitlines(), start=1)
+    for lineno, line in lines:
         fields = line.split()
-        if fields[0] == "node":
+        if fields and not fields[0].startswith("#"):
+            header = line.strip()
+            if header != _HEADER:
+                raise NetworkFormatError(f"expected header {_HEADER!r}, got {header!r}", lineno)
+            break
+    else:
+        raise NetworkFormatError(f"empty file: missing {_HEADER!r} header", 1)
+    for lineno, line in lines:
+        fields = line.split()
+        if not fields:
+            continue
+        tag = fields[0]
+        if tag == "edge":
+            if len(fields) != 6:
+                raise NetworkFormatError("edge line needs 6 fields", lineno)
+            _, src_key, label, dst_key, weight_s, flag_s = fields
+            src = nodes.get(src_key) or _node_from_key(net, src_key, lineno)
+            dst = nodes.get(dst_key) or _node_from_key(net, dst_key, lineno)
+            try:
+                weight = float(weight_s)
+            except ValueError as err:
+                raise NetworkFormatError(f"bad weight {weight_s!r}", lineno) from err
+            generic = _FLAGS.get(flag_s)
+            if generic is None:
+                raise NetworkFormatError(f"bad generic flag {flag_s!r}", lineno)
+            repeat = (dst, label) in out[src]
+            try:
+                write(src, dst, label, weight, generic)
+            except ValueError as err:
+                raise NetworkFormatError(str(err), lineno) from err
+            if repeat:
+                raise NetworkFormatError(f"duplicate edge {src_key} {label} {dst_key}", lineno)
+        elif tag == "node":
             if len(fields) != 3:
                 raise NetworkFormatError("node line needs 'node <kind> <name>'", lineno)
             _, kind, name = fields
@@ -470,29 +566,8 @@ def network_from_text(text: str) -> ConceptNetwork:
                 nodes[key] = net.add_concept(name, kind)
             except ValueError as err:
                 raise NetworkFormatError(str(err), lineno) from err
-        elif fields[0] == "edge":
-            if len(fields) != 6:
-                raise NetworkFormatError("edge line needs 6 fields", lineno)
-            _, src_key, label, dst_key, weight_s, flag_s = fields
-            src = nodes.get(src_key) or _node_from_key(net, src_key, lineno)
-            dst = nodes.get(dst_key) or _node_from_key(net, dst_key, lineno)
-            try:
-                weight = float(weight_s)
-            except ValueError as err:
-                raise NetworkFormatError(f"bad weight {weight_s!r}", lineno) from err
-            if flag_s not in ("generic:0", "generic:1"):
-                raise NetworkFormatError(f"bad generic flag {flag_s!r}", lineno)
-            repeat = (dst, label) in out[src]
-            try:
-                write(src, dst, label, weight, flag_s == "generic:1")
-            except ValueError as err:
-                raise NetworkFormatError(str(err), lineno) from err
-            if repeat:
-                raise NetworkFormatError(f"duplicate edge {src_key} {label} {dst_key}", lineno)
-        else:
-            raise NetworkFormatError(f"unexpected line {fields[0]!r}", lineno)
-    if not seen_header:
-        raise NetworkFormatError("empty file: missing 'conceptnet v1' header", 1)
+        elif not tag.startswith("#"):
+            raise NetworkFormatError(f"unexpected line {tag!r}", lineno)
     return net
 
 

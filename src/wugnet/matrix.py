@@ -65,16 +65,18 @@ def build_matrix(net: ConceptNetwork) -> ConceptMatrix:
     included.
     """
     concepts = tuple(net.concepts())
-    edges = net.edges()
-    pairs = sorted({(e.target, e.label) for e in edges if e.weight > 0.0})
+    adjacency = list(net.adjacency())
+    pairs = sorted({key for _, out in adjacency for key, weight in out.items() if weight > 0.0})
     columns = tuple(ExpandedColumn(target, label) for target, label in pairs)
     weights = np.zeros((len(concepts), len(columns)), dtype=np.float64)
-    col_index = {(col.target, col.label): j for j, col in enumerate(columns)}
+    col_index = {pair: j for j, pair in enumerate(pairs)}
     row_index = {c: i for i, c in enumerate(concepts)}
-    for e in edges:
-        j = col_index.get((e.target, e.label))
-        if j is not None:
-            weights[row_index[e.source], j] = e.weight
+    for src, out in adjacency:
+        row = weights[row_index[src]]
+        for key, weight in out.items():
+            j = col_index.get(key)
+            if j is not None:
+                row[j] = weight
     return ConceptMatrix(concepts, columns, weights)
 
 

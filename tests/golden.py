@@ -9,6 +9,11 @@ benchmark makes it:
   read back from its saved text as `export` reads it;
 - `task2-journal/<builtin>.jsonl`: the `--trace` journal of each task 2
   curriculum learned at seed 0, then of task 2's three novel-member generics;
+- `utterance-shapes/curriculum.txt` and `utterance-shapes/journal.jsonl`:
+  SHAPES, a fixed curriculum of the utterance shapes no built-in holds (a
+  coloured subject with a verb object, a mass-noun object, a proper-noun
+  subject), saved, and its `learn --trace` journal, which pins the order
+  observe creates nodes in on those shapes;
 - `novel-members/network.txt` and `novel-members/clusters.txt`: the
   4045-row network that perfbench's novel-members inputs (seed 0, 1000
   nouns, 3000 generics) learn, and its cluster text.
@@ -29,7 +34,12 @@ import tempfile
 from functools import cache
 from pathlib import Path
 
-from wugnet.curriculum import BUILTIN_PHASES, builtin_curriculum
+from wugnet.curriculum import (
+    BUILTIN_PHASES,
+    builtin_curriculum,
+    curriculum_from_text,
+    curriculum_to_text,
+)
 from wugnet.graph import ConceptNetwork, network_from_text, network_to_text
 from wugnet.learner import learn_curriculum, observe
 from wugnet.matrix import agglomerative_order, build_matrix, clusters_to_text, matrix_to_csv
@@ -43,6 +53,47 @@ from wugnet.tasks import (
 
 ROOT = Path(__file__).resolve().parents[1]
 MANIFEST = Path(__file__).resolve().parent / "golden.json"
+
+# The shapes of tests/test_learner_oracle.py's generated utterances that no
+# built-in curriculum holds, each said in a matching scene, then bare plurals
+# said without one, and membership generics so a novel member inherits.
+SHAPES = """\
+# name: utterance-shapes
+
+instance
+  scene: entity e0 dog color=red ; entity e1 cookie ; action eat agent=e0 patient=e1
+  say: a red dog eats a cookie
+instance
+  scene: entity e0 cat color=light-brown ; entity e1 ball ; action take agent=e0 patient=e1
+  say: the light brown cat takes the ball
+instance
+  scene: entity e0 bear color=black ; entity e1 juice ; action drink agent=e0 patient=e1
+  say: a black bear drinks juice
+instance
+  scene: entity e0 dad ; entity e1 milk ; action drink agent=e0 patient=e1
+  say: Dad drinks milk
+instance
+  scene: entity e0 mom ; entity e1 cookie ; action eat agent=e0 patient=e1
+  say: Mom eats a cookie
+instance
+  scene: entity e0 dad ; action sit agent=e0
+  say: Dad sits
+instance
+  scene: entity e0 dog color=red ; entity e1 juice ; action drink agent=e0 patient=e1
+  say: a red dog drinks juice
+instance
+  say: bears drink milk
+instance
+  say: Cats eat cookies
+instance
+  say: dogs are animals
+instance
+  say: bears are animals
+instance
+  say: wugs are animals
+instance
+  say: wugs drink juice
+"""
 
 
 @cache
@@ -73,6 +124,14 @@ def _task2_journal(name: str) -> bytes:
     return "".join(line + "\n" for line in lines).encode("utf-8")
 
 
+def _shapes_journal() -> bytes:
+    net = ConceptNetwork()
+    lines: list[str] = []
+    learn_curriculum(net, curriculum_from_text(SHAPES),
+                     on_report=lambda i, report: lines.append(report.to_json_line(i)))
+    return "".join(line + "\n" for line in lines).encode("utf-8")
+
+
 @cache
 def _novel_members() -> ConceptNetwork:
     spec = importlib.util.spec_from_file_location("synth", ROOT / "perfbench" / "synth.py")
@@ -99,6 +158,9 @@ def outputs() -> dict:
         entries[f"export-clusters/{name}.txt"] = lambda name=name: _clusters(_builtin_matrix(name))
     for name in TASK2_CURRICULA:
         entries[f"task2-journal/{name}.jsonl"] = lambda name=name: _task2_journal(name)
+    entries["utterance-shapes/curriculum.txt"] = \
+        lambda: curriculum_to_text(curriculum_from_text(SHAPES)).encode("utf-8")
+    entries["utterance-shapes/journal.jsonl"] = _shapes_journal
     entries["novel-members/network.txt"] = \
         lambda: network_to_text(_novel_members()).encode("utf-8")
     entries["novel-members/clusters.txt"] = lambda: _clusters(build_matrix(_novel_members()))

@@ -320,6 +320,59 @@ def test_copy_is_equal_and_independent(net):
             assert network.member_average(category) == member_average_reaveraged(network, category)
 
 
+def test_copy_keeps_generic_flags_independent_both_ways(net):
+    a, b = net.add_concept("a", OBJECT), net.add_concept("b", OBJECT)
+    red, green = net.add_concept("red", ATTRIBUTE), net.add_concept("green", ATTRIBUTE)
+    net.write(a, red, IS, 1.0, True)
+    net.write(b, green, IS, None, False)
+    other = net.copy()
+    # a flag set on the copy does not reach the original
+    other.write(b, green, IS, 1.0, True)
+    assert other.edge(b, green, IS).generic_origin
+    assert not net.edge(b, green, IS).generic_origin
+    # a flag cleared on the original does not leave the copy
+    net.write(a, red, IS, 0.5, False)
+    assert not net.edge(a, red, IS).generic_origin
+    assert other.edge(a, red, IS) == (a, red, IS, 1.0, True)
+    # so a plateauing write still stops at the copy's generic edge only
+    assert other.write(a, red, IS, None, False) == (1.0, 1.0, True)
+    assert net.write(a, red, IS, None, False) == (0.5, 0.6, False)
+
+
+def test_a_cleared_generic_flag_leaves_no_trace():
+    def build(generic_first):
+        net = ConceptNetwork()
+        a, red = net.add_concept("a", OBJECT), net.add_concept("red", ATTRIBUTE)
+        if generic_first:
+            net.write(a, red, IS, 1.0, True)
+        net.write(a, red, IS, 0.5, False)
+        return net
+
+    cleared, plain = build(True), build(False)
+    assert cleared == plain and plain == cleared
+    assert network_to_text(cleared) == network_to_text(plain)
+    assert network_from_text(network_to_text(cleared)) == plain
+    assert cleared.copy() == plain
+    assert diff_networks(cleared, plain) == []
+
+
+def test_edges_are_read_only_snapshots(net):
+    a, red = net.add_concept("a", OBJECT), net.add_concept("red", ATTRIBUTE)
+    net.write(a, red, IS, None, False)
+    snapshot = net.edge(a, red, IS)
+    with pytest.raises(AttributeError):
+        snapshot.weight = 1.0
+    with pytest.raises(AttributeError):
+        net.edges()[0].generic_origin = True
+    net.write(a, red, IS, None, False)
+    assert snapshot.weight == pytest.approx(0.2)
+    assert net.edge(a, red, IS).weight == pytest.approx(0.36)
+    weights = dict(net.adjacency())[a]
+    with pytest.raises(TypeError):
+        weights[(red, IS)] = 1.0
+    assert weights == {(red, IS): net.get_strength(a, red, IS)}
+
+
 def test_diff_networks_reports_weight_changes(net):
     a = net.add_concept("a", OBJECT)
     b = net.add_concept("b", ATTRIBUTE)

@@ -6,8 +6,9 @@
 
 The change is this checkout's working tree: HEAD plus any uncommitted
 edits to src/ and perfbench/, whose diff the file names by sha256. The
-parent is REV, checked out with `git worktree add --detach` into a
-temporary directory that is removed afterwards, on failure too. Each side
+parent is REV's committed files, written with `git archive` into a
+temporary directory that is removed afterwards, on failure too; the
+repository's own worktrees and refs are left as they were. Each side
 runs its own `perfbench/run.py` unchanged, and the recorder reads each
 run's last output line, the result JSON. Runs go in pairs, one per side,
 alternating which side runs first.
@@ -29,6 +30,7 @@ from __future__ import annotations
 
 import argparse
 import hashlib
+import io
 import json
 import os
 import platform
@@ -36,6 +38,7 @@ import shutil
 import statistics
 import subprocess
 import sys
+import tarfile
 import tempfile
 from pathlib import Path
 
@@ -126,10 +129,12 @@ def record(args) -> int:
     benchmark = json.loads((ROOT / "BENCHMARK.json").read_text())
     workloads = args.workloads.split(",")
     tmp = Path(tempfile.mkdtemp(prefix="bench-record-"))
-    worktree = tmp / "parent"
     try:
-        _git("worktree", "add", "--detach", str(worktree), parent_sha)
-        checkouts = {"parent": worktree, "change": ROOT}
+        archive = subprocess.run(["git", "archive", parent_sha], cwd=ROOT, check=True,
+                                 capture_output=True).stdout
+        with tarfile.open(fileobj=io.BytesIO(archive)) as tar:
+            tar.extractall(tmp / "parent", filter="data")
+        checkouts = {"parent": tmp / "parent", "change": ROOT}
         pairs: dict[str, list[dict]] = {w: [] for w in workloads}
         for i in range(args.pairs):
             order = SIDES if i % 2 == 0 else SIDES[::-1]
@@ -145,9 +150,6 @@ def record(args) -> int:
         traces = {w: {side: _run(checkouts[side], w, args.seed, 1, 1) for side in SIDES}
                   for w in workloads}
     finally:
-        subprocess.run(["git", "worktree", "remove", "--force", str(worktree)], cwd=ROOT,
-                       capture_output=True)
-        subprocess.run(["git", "worktree", "prune"], cwd=ROOT, capture_output=True)
         shutil.rmtree(tmp, ignore_errors=True)
 
     runs = [p[side] for w in workloads for p in pairs[w] for side in SIDES]
