@@ -9,9 +9,9 @@ bare plural (plural morphology, no determiner, no number word).
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from functools import lru_cache
 from pathlib import Path
+from typing import NamedTuple
 
 from .errors import FormatError
 from .graph import NAME_RE
@@ -46,8 +46,7 @@ class ParseError(ValueError):
         super().__init__(f"{message} (token {token!r} at position {position})")
 
 
-@dataclass(frozen=True)
-class LexEntry:
+class LexEntry(NamedTuple):
     surface: str
     pos: str
     lemma: str
@@ -58,11 +57,11 @@ class Lexicon:
     """Surface-form table. Its entries are fixed once built; safe to share.
 
     Each lexicon also memoizes the front end: `parse` keeps each utterance
-    text's frozen ParsedUtterance, so a distinct text is read once per
-    lexicon and every later parse of it returns the same shared object. The
-    memo grows with the number of distinct texts seen (it is never evicted)
-    and holds no failures: a ParseError is raised afresh, with its token and
-    position, each time.
+    text's ParsedUtterance, an immutable named tuple, so a distinct text is
+    read once per lexicon and every later parse of it returns the same
+    shared object. The memo grows with the number of distinct texts seen (it
+    is never evicted) and holds no failures: a ParseError is raised afresh,
+    with its token and position, each time.
     """
 
     def __init__(self, entries: list[LexEntry]):
@@ -280,8 +279,7 @@ def tokenize(text: str, lexicon: Lexicon | None = None) -> list[str]:
     return out
 
 
-@dataclass(frozen=True, slots=True)
-class NounPhrase:
+class NounPhrase(NamedTuple):
     """What the learner reads off a noun phrase.
 
     novel marks a plural whose stem is not in the lexicon (a wug).
@@ -293,8 +291,7 @@ class NounPhrase:
     novel: bool = False
 
 
-@dataclass(frozen=True, slots=True)
-class ParsedUtterance:
+class ParsedUtterance(NamedTuple):
     """What the learner reads off an utterance; the parse memo's key holds its text.
 
     The subject is noun phrase 0, and a verb's object, if any, noun phrase 1.
@@ -358,9 +355,9 @@ def parse(text: str, lexicon: Lexicon | None = None) -> ParsedUtterance:
     N-pl are N-pl | N-pl V (N-mass | N-pl) | PROPN/DET N V (DET N | N-mass)
 
     Unknown nouns are admitted only in bare-plural positions (strip-s rule)
-    and flagged novel. The result is frozen and memoized per lexicon under
-    the text as written: a second parse of the same text returns the same
-    object.
+    and flagged novel. The result is an immutable named tuple, memoized per
+    lexicon under the text as written: a second parse of the same text
+    returns the same object.
     """
     lex = lexicon or default_lexicon()
     parsed = lex._parses.get(text)

@@ -10,7 +10,6 @@ that category.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 from functools import cached_property
 from typing import NamedTuple
 
@@ -32,37 +31,49 @@ class UnlearnableGeneric(ValueError):
     """A membership generic whose subject and complement are both unknown."""
 
 
-@dataclass(frozen=True)
-class Entity:
+class Entity(NamedTuple):
     id: str
     lemma: str
     color: str | None = None
 
 
-@dataclass(frozen=True)
-class ActionFrame:
+class ActionFrame(NamedTuple):
     verb: str
     agent: str
     patient: str | None = None
 
 
-@dataclass(frozen=True)
-class Situation:
+class _SituationFields(NamedTuple):
     entities: tuple[Entity, ...] = ()
     actions: tuple[ActionFrame, ...] = ()
 
-    def __post_init__(self):
-        ids = [e.id for e in self.entities]
-        if len(ids) != len(set(ids)):
-            raise ValueError("duplicate entity ids in situation")
-        known = set(ids)
-        for a in self.actions:
-            if a.agent not in known or (a.patient is not None and a.patient not in known):
-                raise ValueError(f"action '{a.verb}' references an undeclared entity")
+
+class Situation(_SituationFields):
+    """A scene: its entities, whose ids are distinct, and the actions among them.
+
+    Every action's agent and patient name a declared entity; `__new__`
+    raises ValueError otherwise. The checks are loops, so building a scene
+    builds no function object on CPython 3.11, and they are skipped where
+    they cannot fail (no duplicate among fewer than two entities, no
+    undeclared role without actions).
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, entities: tuple[Entity, ...] = (), actions: tuple[ActionFrame, ...] = ()):
+        if len(entities) > 1 or actions:
+            known = set()
+            for entity in entities:
+                known.add(entity.id)
+            if len(known) != len(entities):
+                raise ValueError("duplicate entity ids in situation")
+            for a in actions:
+                if a.agent not in known or (a.patient is not None and a.patient not in known):
+                    raise ValueError(f"action '{a.verb}' references an undeclared entity")
+        return tuple.__new__(cls, (entities, actions))
 
 
-@dataclass(frozen=True)
-class LearningInstance:
+class LearningInstance(NamedTuple):
     situation: Situation
     utterance: str
 
@@ -83,7 +94,7 @@ class ObservationReport:
     later depends on the network. While observe runs it records only raw
     facts: the concepts it created, one (src, label, dst, old, new,
     generic) tuple per edge write with what that write returned, and the
-    instance's frozen parse and scene. created (concept keys),
+    instance's immutable parse and scene. created (concept keys),
     edges (EdgeWrite) and mismatches are cached properties built from
     those facts on first read, so a caller that reads none of them pays
     one append per created node and per write, and never runs the scene
@@ -194,26 +205,27 @@ def observe(net: ConceptNetwork, instance: LearningInstance,
     its argument slots: with the plateauing update when the utterance is
     plain, pinned at 1.0 and marked generic when it is generic.
     """
-    parsed = parse(instance.utterance, lexicon)
-    report = ObservationReport(instance.utterance, parsed.is_generic, parsed, instance.situation)
-    if parsed.complement is not None and not parsed.complement_is_color:
-        _membership_generic(net, report, parsed)
+    situation, utterance = instance
+    parsed = parse(utterance, lexicon)
+    noun_phrases, verb, complement, complement_is_color, generic = parsed
+    report = ObservationReport(utterance, generic, parsed, situation)
+    if complement is not None and not complement_is_color:
+        _membership_generic(net, report, noun_phrases[0].lemma, complement)
         return report
 
     # Straight-line code over noun phrase 0 (the subject) and 1 (a verb's object,
     # which the parser gives no colour): before CPython 3.12 (PEP 709) a
     # comprehension here is a function object built per call, with net and
-    # report in closure cells.
-    subject_np = parsed.noun_phrases[0]
-    subject = _ensure(net, report, subject_np.lemma, OBJECT)
-    obj = (_ensure(net, report, parsed.noun_phrases[1].lemma, OBJECT)
-           if len(parsed.noun_phrases) > 1 else None)
-    modifier = (None if subject_np.modifier is None
-                else _ensure(net, report, subject_np.modifier, ATTRIBUTE))
-    color = (None if parsed.complement is None
-             else _ensure(net, report, parsed.complement, ATTRIBUTE))
-    action = None if parsed.verb is None else _ensure(net, report, parsed.verb, ACTION)
-    generic = parsed.is_generic
+    # report in closure cells. The parse and its subject are unpacked once:
+    # on 3.11 each named-tuple field read is a descriptor call.
+    subject_lemma, _, subject_modifier, _ = noun_phrases[0]
+    subject = _ensure(net, report, subject_lemma, OBJECT)
+    obj = (_ensure(net, report, noun_phrases[1].lemma, OBJECT)
+           if len(noun_phrases) > 1 else None)
+    modifier = (None if subject_modifier is None
+                else _ensure(net, report, subject_modifier, ATTRIBUTE))
+    color = None if complement is None else _ensure(net, report, complement, ATTRIBUTE)
+    action = None if verb is None else _ensure(net, report, verb, ACTION)
     weight = 1.0 if generic else None
     if modifier is not None:
         _link(net, report, subject, modifier, IS, weight, generic)
@@ -227,7 +239,7 @@ def observe(net: ConceptNetwork, instance: LearningInstance,
 
 
 def _membership_generic(net: ConceptNetwork, report: ObservationReport,
-                        parsed: ParsedUtterance) -> None:
+                        subject_lemma: str, complement_lemma: str) -> None:
     """Pin "subjects are categories" at 1.0; raise before any write if unlearnable.
 
     An unknown complement becomes a category. An unknown subject of a known
@@ -235,9 +247,6 @@ def _membership_generic(net: ConceptNetwork, report: ObservationReport,
     features. Both sides unknown, or a side whose name another kind already
     holds, is UnlearnableGeneric.
     """
-    subject_lemma = parsed.noun_phrases[0].lemma
-    complement_lemma = parsed.complement
-
     subject = net.get(subject_lemma, OBJECT)
     category = net.get(complement_lemma, CATEGORY)
     if category is None and net.named(complement_lemma):

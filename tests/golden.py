@@ -16,7 +16,12 @@ benchmark makes it:
   observe creates nodes in on those shapes;
 - `novel-members/network.txt` and `novel-members/clusters.txt`: the
   4045-row network that perfbench's novel-members inputs (seed 0, 1000
-  nouns, 3000 generics) learn, and its cluster text.
+  nouns, 3000 generics) learn, and its cluster text;
+- `generation/<builtin>.txt`, `generation/novel-members.txt` and
+  `generation/concept-space.txt`: each built-in curriculum generated at seed
+  0, and perfbench's novel-members (seed 0, 1000 nouns, 1000 generics) and
+  concept-space (seed 0, 250 nouns, 250 actions) curricula, as
+  `curriculum_to_text` saves them, scenes included.
 
 tests/test_golden.py checks each entry against tests/golden.json. That file
 changes only through this script:
@@ -133,11 +138,17 @@ def _shapes_journal() -> bytes:
 
 
 @cache
-def _novel_members() -> ConceptNetwork:
+def synth():
+    """perfbench/synth.py, which builds the benchmark's synthetic inputs, as a module."""
     spec = importlib.util.spec_from_file_location("synth", ROOT / "perfbench" / "synth.py")
     synth = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(synth)
-    lexicon, curriculum, generics = synth.novel_members_inputs(0, 1000, 3000)
+    return synth
+
+
+@cache
+def _novel_members() -> ConceptNetwork:
+    lexicon, curriculum, generics = synth().novel_members_inputs(0, 1000, 3000)
     net = ConceptNetwork()
     learn_curriculum(net, curriculum, lexicon)
     for instance in generics:
@@ -164,6 +175,13 @@ def outputs() -> dict:
     entries["novel-members/network.txt"] = \
         lambda: network_to_text(_novel_members()).encode("utf-8")
     entries["novel-members/clusters.txt"] = lambda: _clusters(build_matrix(_novel_members()))
+    for name in sorted(BUILTIN_PHASES):
+        entries[f"generation/{name}.txt"] = \
+            lambda name=name: curriculum_to_text(builtin_curriculum(name, seed=0)).encode("utf-8")
+    entries["generation/novel-members.txt"] = lambda: curriculum_to_text(
+        synth().novel_members_inputs(0, 1000, 1000)[1]).encode("utf-8")
+    entries["generation/concept-space.txt"] = lambda: curriculum_to_text(
+        synth().concept_space_inputs(0, 250, 250)[1]).encode("utf-8")
     return entries
 
 

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from golden import synth
 from wugnet.curriculum import (
     BUILTIN_PHASES,
     DEFAULT_OBJECTS,
@@ -21,7 +22,7 @@ from wugnet.curriculum import (
 from wugnet.errors import FormatError
 from wugnet.graph import ConceptNetwork, network_to_text
 from wugnet.lang import LexEntry, Lexicon, default_lexicon, parse
-from wugnet.learner import learn_curriculum
+from wugnet.learner import ActionFrame, Entity, LearningInstance, Situation, learn_curriculum
 
 
 def test_objects_phase_with_tiny_inventory():
@@ -217,12 +218,22 @@ def test_fig_style_color_counts_are_realized():
             assert len(colored) >= 3, obj
 
 
-def test_round_trip_preserves_structure():
-    cur = builtin_curriculum("objects-and-colors", seed=9)
-    text = curriculum_to_text(cur)
-    again = curriculum_from_text(text)
+@pytest.mark.parametrize("name,seed", [(name, seed) for name in sorted(BUILTIN_PHASES)
+                                       for seed in (0, 7)] + [("concept-space", 0)])
+def test_round_trip_preserves_structure(name, seed):
+    if name == "concept-space":
+        lexicon, cur = synth().concept_space_inputs(seed, 250, 250)
+    else:
+        lexicon, cur = None, builtin_curriculum(name, seed=seed)
+    again = curriculum_from_text(curriculum_to_text(cur), lexicon=lexicon)
     assert again.name == cur.name
     assert again.instances == cur.instances
+    # tuple equality alone would pass a loader that builds plain tuples
+    for instance in again.instances + cur.instances:
+        situation = instance.situation
+        assert type(instance) is LearningInstance and type(situation) is Situation
+        assert all(type(e) is Entity for e in situation.entities)
+        assert all(type(a) is ActionFrame for a in situation.actions)
 
 
 def test_hand_written_file_loads_and_learns():

@@ -4,7 +4,9 @@ Before CPython 3.12, every comprehension or generator expression is a
 nested code object, and each call of the function holding it builds a new
 function object for it; the locals it reads move into closure cells, which
 every access then goes through. On the learning path those costs are paid
-once per instance, and `learn_instances_per_s` measures them. So the
+once per instance, and `learn_instances_per_s` measures them. The same goes
+for `Situation.__new__`, which checks the scene of every instance a
+curriculum generates or loads, so `setup_s` pays its costs. So the
 functions below hold no nested code object and no cell variable. PEP 709
 inlines list, dict and set comprehensions from 3.12 on, which makes this
 test moot there; it still runs on every version.
@@ -26,6 +28,7 @@ HOT_PATH = (
     learner.ObservationReport.__init__,
     graph.ConceptNetwork.get,
     graph.ConceptNetwork.write,
+    learner.Situation.__new__,
 )
 
 

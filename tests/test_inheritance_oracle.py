@@ -4,17 +4,16 @@ Comparisons are exact: float ==, repr (the sign of zero), and identical
 network files.
 """
 
-import importlib.util
 import random
 from functools import reduce
 from itertools import product
 from operator import add
-from pathlib import Path
 
 import numpy as np
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from golden import synth
 from inheritance_oracle import inherit_novel_member, member_average_reaveraged, members_scan
 from wugnet.graph import (
     ACTION,
@@ -177,17 +176,9 @@ class _OracleNetwork(ConceptNetwork):
         return member_average_reaveraged(self, category)
 
 
-def _synth():
-    path = Path(__file__).resolve().parents[1] / "perfbench" / "synth.py"
-    spec = importlib.util.spec_from_file_location("synth", path)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
-
-
 def test_scaled_novel_members_match_the_oracle_network():
     # the benchmark's novel-members inputs, cut to 200 nouns and 150 generics
-    lexicon, curriculum, generics = _synth().novel_members_inputs(0, 200, 150)
+    lexicon, curriculum, generics = synth().novel_members_inputs(0, 200, 150)
     net, oracle = ConceptNetwork(), _OracleNetwork()
     learn_curriculum(net, curriculum, lexicon)
     learn_curriculum(oracle, curriculum, lexicon)
@@ -202,7 +193,7 @@ def test_scaled_novel_members_match_the_oracle_network():
 
 def test_member_averages_match_the_oracle_at_benchmark_scale():
     # 3000 nouns put more than 1000 members in each category
-    lexicon, curriculum, generics = _synth().novel_members_inputs(0, 3000, 60)
+    lexicon, curriculum, generics = synth().novel_members_inputs(0, 3000, 60)
     net = ConceptNetwork()
     learn_curriculum(net, curriculum, lexicon)
     categories = [c for c in net.concepts() if c.kind == CATEGORY]

@@ -2,6 +2,8 @@ import itertools
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from wugnet.curriculum import Curriculum, builtin_curriculum
 from wugnet.graph import ATTRIBUTE, CATEGORY, IS, OBJECT, SLOT1, SLOT2, ConceptNetwork
@@ -31,6 +33,43 @@ def test_situation_validates_ids_and_participants():
         Situation((Entity("e0", "dog"), Entity("e0", "cat")))
     with pytest.raises(ValueError):
         Situation((Entity("e0", "dog"),), (ActionFrame("sit", "e9"),))
+
+
+def _reference_situation_error(entities, actions):
+    """The scene rule as the frozen dataclass's __post_init__ wrote it."""
+    ids = [e.id for e in entities]
+    if len(ids) != len(set(ids)):
+        return "duplicate entity ids in situation"
+    known = set(ids)
+    for a in actions:
+        if a.agent not in known or (a.patient is not None and a.patient not in known):
+            return f"action '{a.verb}' references an undeclared entity"
+    return None
+
+
+@st.composite
+def scenes(draw):
+    ids = draw(st.lists(st.sampled_from(["e0", "e1", "e2", "e3"]), max_size=5))
+    roles = st.sampled_from(ids + ["e7", "e8"])
+    entities = tuple(Entity(i, draw(st.sampled_from(["dog", "cup"]))) for i in ids)
+    actions = tuple(ActionFrame(draw(st.sampled_from(["sit", "take"])), draw(roles),
+                                draw(st.none() | roles))
+                    for _ in range(draw(st.integers(0, 3))))
+    return entities, actions
+
+
+@settings(max_examples=500, deadline=None)
+@given(scenes())
+def test_situation_raises_exactly_when_the_dataclass_rule_did(scene_parts):
+    entities, actions = scene_parts
+    expected = _reference_situation_error(entities, actions)
+    if expected is None:
+        situation = Situation(entities, actions)
+        assert situation.entities is entities and situation.actions is actions
+    else:
+        with pytest.raises(ValueError) as info:
+            Situation(entities, actions)
+        assert str(info.value) == expected
 
 
 def test_color_observation_updates_is_edge():

@@ -2,12 +2,11 @@
 
 Learning through a warm lexicon (every utterance already memoized) must give
 the same networks and reports as a fresh lexicon per instance; shared parse
-results are frozen; failures are never memoized; a curriculum file is walked
-once per distinct utterance, when it is loaded. Spellings of the same tokens
+results, like lexicon entries and scenes, are immutable; failures are never
+memoized; a curriculum file is walked once per distinct utterance, when it is
+loaded. Spellings of the same tokens
 are memoized apart and learn the same.
 """
-
-from dataclasses import FrozenInstanceError
 
 import pytest
 from hypothesis import given, settings
@@ -23,7 +22,14 @@ from wugnet.curriculum import (
 )
 from wugnet.graph import ConceptNetwork, network_to_text
 from wugnet.lang import DEFAULT_LEXICON_TEXT, Lexicon, ParseError, parse
-from wugnet.learner import LearningInstance, Situation, learn_curriculum, observe
+from wugnet.learner import (
+    ActionFrame,
+    Entity,
+    LearningInstance,
+    Situation,
+    learn_curriculum,
+    observe,
+)
 
 # one lexicon shared by every test here, so its memo only grows
 WARM = Lexicon.from_text(DEFAULT_LEXICON_TEXT)
@@ -97,14 +103,27 @@ def test_a_failure_is_raised_again_and_not_memoized(text):
     assert not lex._parses
 
 
-def test_parse_results_are_frozen():
+def test_scene_lexicon_and_parse_values_are_immutable():
     p = parse("dogs are animals", _fresh())
     q = parse("dad takes the cup", _fresh())
     assert isinstance(p.noun_phrases, tuple)
-    for obj, field in ((p, "is_generic"), (p, "noun_phrases"), (p.noun_phrases[0], "lemma"),
-                       (p, "complement"), (p, "complement_is_color"), (q, "verb")):
-        with pytest.raises(FrozenInstanceError):
-            setattr(obj, field, None)
+    entity = Entity("e0", "dad")
+    frame = ActionFrame("take", "e0", "e1")
+    situation = Situation((entity, Entity("e1", "cup")), (frame,))
+    values = (p, q, p.noun_phrases[0], q.noun_phrases[1], _fresh().get("dogs"),
+              entity, frame, situation, LearningInstance(situation, "dad takes the cup"))
+    assert sorted({type(v).__name__ for v in values}) == [
+        "ActionFrame", "Entity", "LearningInstance", "LexEntry", "NounPhrase",
+        "ParsedUtterance", "Situation"]
+    for value in values:
+        for field in type(value)._fields:
+            old = getattr(value, field)
+            with pytest.raises(AttributeError):
+                setattr(value, field, None)
+            assert getattr(value, field) is old
+        # no instance dict takes a new attribute either
+        with pytest.raises(AttributeError):
+            value.extra = None
 
 
 @pytest.mark.parametrize("default_first", [True, False])
