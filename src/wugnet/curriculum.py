@@ -108,9 +108,13 @@ DEFAULT_COLOR_GENERICS: tuple[tuple[str, str], ...] = (
 
 
 def _verb_3sg(lexicon: Lexicon) -> dict[str, str]:
-    """lemma -> third-person-singular surface, read off a lexicon."""
-    return {e.lemma: e.surface for e in lexicon.entries()
-            if e.pos == VERB and e.surface != e.lemma}
+    """lemma -> third-person-singular surface, read off a lexicon.
+
+    Where a lemma has several such surfaces, the last in surface order wins.
+    """
+    forms = sorted((e.surface, e.lemma) for e in lexicon._by_surface.values()
+                   if e.pos == VERB and e.surface != e.lemma)
+    return {lemma: surface for surface, lemma in forms}
 
 
 # the default lexicon's table; perfbench/synth.py draws its verbs from it
@@ -137,10 +141,6 @@ class Curriculum:
 
 def _indefinite(lemma: str) -> str:
     return f"a {lemma.replace('-', ' ')}"
-
-
-def _entity(i: int, lemma: str, color: str | None = None) -> Entity:
-    return Entity(f"e{i}", lemma, color)
 
 
 class _Generator:
@@ -189,9 +189,7 @@ class _Generator:
     def objects_phase(self) -> list[LearningInstance]:
         out = []
         for lemma in self.common:
-            out.append(LearningInstance(
-                Situation(entities=(_entity(0, lemma),)),
-                _indefinite(lemma)))
+            out.append(LearningInstance(Situation((Entity("e0", lemma),)), _indefinite(lemma)))
         return out
 
     def color_table(self) -> list[tuple[str, str, int]]:
@@ -204,12 +202,12 @@ class _Generator:
         return [(obj, color, n) for obj, color, n in rows if obj in self.inv]
 
     def colors_phase(self) -> list[LearningInstance]:
+        """Each color-table row's instance, n times over: one shared immutable value."""
         out = []
         for obj, color, n in self.color_table():
-            for _ in range(n):
-                out.append(LearningInstance(
-                    Situation(entities=(_entity(0, obj, color),)),
-                    f"a {self.lex.display(color)} {obj}"))
+            instance = LearningInstance(Situation((Entity("e0", obj, color),)),
+                                        f"a {self.lex.display(color)} {obj}")
+            out += [instance] * n
         return out
 
     def actions_phase(self) -> list[LearningInstance]:
@@ -220,25 +218,25 @@ class _Generator:
                 continue
             if verb not in verb_3sg:
                 raise ValueError(f"action verb {verb!r} has no third-person form in the lexicon")
-            entities = [_entity(0, subject)]
-            frame = ActionFrame(verb, "e0")
             text = f"{self.subject_text(subject)} {verb_3sg[verb]}"
-            if obj is not None:
-                entities.append(_entity(1, obj))
-                frame = ActionFrame(verb, "e0", "e1")
+            if obj is None:
+                scene = Situation((Entity("e0", subject),), (ActionFrame(verb, "e0"),))
+            else:
+                scene = Situation((Entity("e0", subject), Entity("e1", obj)),
+                                  (ActionFrame(verb, "e0", "e1"),))
                 text += f" {self.object_text(obj)}"
-            for _ in range(n):
-                out.append(LearningInstance(
-                    Situation(entities=tuple(entities), actions=(frame,)), text))
+            out += [LearningInstance(scene, text)] * n
         return out
 
     def plurals_phase(self) -> list[LearningInstance]:
         out = []
         for i, lemma in enumerate(self.count_nouns):
-            word, count = ("two", 2) if i % 2 == 0 else ("many", 3)
-            entities = tuple(_entity(j, lemma) for j in range(count))
-            out.append(LearningInstance(
-                Situation(entities=entities), f"{word} {self.plural(lemma)}"))
+            if i % 2 == 0:
+                word, entities = "two", (Entity("e0", lemma), Entity("e1", lemma))
+            else:
+                word, entities = "many", (Entity("e0", lemma), Entity("e1", lemma),
+                                          Entity("e2", lemma))
+            out.append(LearningInstance(Situation(entities), f"{word} {self.plural(lemma)}"))
         return out
 
     def category_generics_phase(self) -> list[LearningInstance]:
@@ -257,16 +255,16 @@ class _Generator:
             self.rng.shuffle(known)
             self.rng.shuffle(unknown)
             order = known + unknown
+            category_plural = self.plural(category)
             # the objects phase, which comes first, names every introduced lemma
             if order and order[0] not in introduced and not self._named(order[0], out):
                 raise ValueError(
                     f"category {category!r} cannot be learned: no earlier instance names "
                     f"{order[0]!r}, the subject of its first generic "
-                    f"'{self.plural(order[0])} are {self.plural(category)}'")
+                    f"'{self.plural(order[0])} are {category_plural}'")
             for member in order:
-                out.append(LearningInstance(
-                    Situation(entities=(_entity(0, member),)),
-                    f"{self.plural(member)} are {self.plural(category)}"))
+                out.append(LearningInstance(Situation((Entity("e0", member),)),
+                                            f"{self.plural(member)} are {category_plural}"))
         return out
 
     def action_generics_phase(self) -> list[LearningInstance]:
@@ -275,8 +273,7 @@ class _Generator:
             if subject not in self.inv:
                 continue
             out.append(LearningInstance(
-                Situation(entities=(_entity(0, subject),),
-                          actions=(ActionFrame(verb, "e0"),)),
+                Situation((Entity("e0", subject),), (ActionFrame(verb, "e0"),)),
                 f"{self.plural(subject)} {verb}"))
         return out
 
@@ -285,9 +282,8 @@ class _Generator:
         for obj, color in DEFAULT_COLOR_GENERICS:
             if obj not in self.inv:
                 continue
-            out.append(LearningInstance(
-                Situation(entities=(_entity(0, obj, color),)),
-                f"{self.plural(obj)} are {self.lex.display(color)}"))
+            out.append(LearningInstance(Situation((Entity("e0", obj, color),)),
+                                        f"{self.plural(obj)} are {self.lex.display(color)}"))
         return out
 
     def run(self) -> Curriculum:

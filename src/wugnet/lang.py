@@ -258,14 +258,26 @@ def tokenize(text: str, lexicon: Lexicon | None = None) -> list[str]:
     its position. Adjacent words that spell a hyphenated lexicon entry
     ("light brown") are joined into the single lexeme. Not memoized:
     `parse` keeps the whole utterance's result instead.
+
+    A text of ASCII letters and spaces alone, with at least one letter,
+    takes a fast path: each of its chunks matches the chunk pattern whole,
+    so its words are `text.lower().split()`. Every other text, the empty
+    one included, is read chunk by chunk. The join loop runs only when a
+    word is one of the lexicon's join heads; otherwise it would copy the
+    words unchanged.
     """
     lex = lexicon or default_lexicon()
-    words = []
-    for position, chunk in enumerate(text.split()):
-        m = _CHUNK_RE.fullmatch(chunk)
-        if m is None:
-            raise ParseError("malformed word", chunk, position)
-        words.append(m[1].lower())
+    if text.isascii() and text.replace(" ", "").isalpha():
+        words = text.lower().split()
+    else:
+        words = []
+        for position, chunk in enumerate(text.split()):
+            m = _CHUNK_RE.fullmatch(chunk)
+            if m is None:
+                raise ParseError("malformed word", chunk, position)
+            words.append(m[1].lower())
+    if lex._join_heads.isdisjoint(words):
+        return words
     out: list[str] = []
     i = 0
     while i < len(words):
@@ -316,10 +328,11 @@ def _plural_np(token: str, lex: Lexicon, bare: bool = True) -> NounPhrase | None
     stem when the stem is a noun, or as a novel plural when the stem is an
     unlisted lowercase lexeme.
     """
-    e = lex.get(token)
+    get = lex._by_surface.get
+    e = get(token)
     if e is None and len(token) > 2 and token.endswith("s") and not token.endswith("ss"):
         lemma = token[:-1]
-        se = lex.get(lemma)
+        se = get(lemma)
         novel = se is None
         if not (NAME_RE.fullmatch(lemma) if novel else se.pos in NOUN_LIKE):
             return None
@@ -327,25 +340,26 @@ def _plural_np(token: str, lex: Lexicon, bare: bool = True) -> NounPhrase | None
         lemma, novel = e.plural_of, False
     else:
         return None
-    return NounPhrase(lemma, is_bare_plural=bare, novel=novel)
+    return NounPhrase(lemma, bare, None, novel)
 
 
 def _det_np(tokens: list[str], i: int, lex: Lexicon,
             allow_color: bool) -> tuple[NounPhrase, int]:
     """The phrase the determiner at i heads, and the index after it."""
+    get = lex._by_surface.get
     i += 1
     modifier = None
     if allow_color and i < len(tokens):
-        e = lex.get(tokens[i])
+        e = get(tokens[i])
         if e is not None and e.pos == COLOR_ADJ:
             modifier = e.lemma
             i += 1
     if i >= len(tokens):
         raise _fail(tokens, i, "expected a noun after the determiner")
-    e = lex.get(tokens[i])
+    e = get(tokens[i])
     if e is None or e.pos not in (NOUN, MASS_NOUN) or e.plural_of:
         raise _fail(tokens, i, "expected a singular noun after the determiner")
-    return NounPhrase(e.lemma, modifier=modifier), i + 1
+    return NounPhrase(e.lemma, False, modifier), i + 1
 
 
 def parse(text: str, lexicon: Lexicon | None = None) -> ParsedUtterance:
@@ -372,10 +386,11 @@ def _parse(tokens: list[str], lex: Lexicon) -> ParsedUtterance:
     A number phrase takes no tail, a determiner phrase an optional verb, a
     proper noun a verb, a bare plural a verb or `are`.
     """
+    get = lex._by_surface.get
     n = len(tokens)
     if not n:
         raise ParseError("empty utterance", None, 0)
-    first = lex.get(tokens[0])
+    first = get(tokens[0])
     kind = first.pos if first is not None else None
     verb, complement, is_color = None, None, False
     if kind == DETERMINER:
@@ -399,13 +414,13 @@ def _parse(tokens: list[str], lex: Lexicon) -> ParsedUtterance:
     nps = [subject]
 
     if tail_error is not None and (i < n or kind == PROPER_NOUN):
-        e = lex.get(tokens[i]) if i < n else None
+        e = get(tokens[i]) if i < n else None
         pos = e.pos if e is not None else None
         if pos == COPULA and bare:
             i += 1
             if i == n:
                 raise _fail(tokens, i, "expected a complement after 'are'")
-            c = lex.get(tokens[i])
+            c = get(tokens[i])
             is_color = c is not None and c.pos == COLOR_ADJ
             if is_color:
                 complement = c.lemma
@@ -420,7 +435,7 @@ def _parse(tokens: list[str], lex: Lexicon) -> ParsedUtterance:
             i += 1
             verb = e.lemma
             if i < n:
-                o = lex.get(tokens[i])
+                o = get(tokens[i])
                 if o is not None and o.pos == DETERMINER and not bare:
                     obj, i = _det_np(tokens, i, lex, allow_color=False)
                 else:
@@ -436,5 +451,6 @@ def _parse(tokens: list[str], lex: Lexicon) -> ParsedUtterance:
 
     if i != n:
         raise _fail(tokens, i, "unexpected trailing token")
-    generic = bare and all(np.is_bare_plural for np in nps)
+    # nps is the subject, whose is_bare_plural is bare, and at most one more phrase
+    generic = bare and nps[-1].is_bare_plural
     return ParsedUtterance(tuple(nps), verb, complement, is_color, generic)

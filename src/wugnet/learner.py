@@ -72,6 +72,15 @@ class Situation(_SituationFields):
                     raise ValueError(f"action '{a.verb}' references an undeclared entity")
         return tuple.__new__(cls, (entities, actions))
 
+    @classmethod
+    def _make(cls, iterable) -> "Situation":
+        """A scene from an iterable of its two fields, through `__new__`'s checks.
+
+        The named tuple's own `_make`, which `_replace` calls, builds through
+        `tuple.__new__` and would skip them.
+        """
+        return cls(*super()._make(iterable))
+
 
 class LearningInstance(NamedTuple):
     situation: Situation

@@ -14,7 +14,11 @@ token sequence and on every built-in curriculum, exactly: same
 ParsedUtterance, or the same error message, token and position. The old
 tokenizer also split words at `.,!?` and lone hyphens anywhere in a chunk;
 it is kept to check that every curriculum utterance still tokenizes the
-same.
+same. chunk_tokenize is the tokenizer lang used before its fast path for
+texts of letters and spaces: every chunk through the chunk pattern, and
+the join loop over every word list. Tests compare lang.tokenize against it
+on generated texts, exactly: the same tokens, or the same error message,
+token and position.
 """
 
 from __future__ import annotations
@@ -62,6 +66,38 @@ def tokenize(text: str, lexicon: Lexicon | None = None) -> list[str]:
     i = 0
     while i < len(words):
         if i + 1 < len(words) and f"{words[i]}-{words[i + 1]}" in lex:
+            out.append(f"{words[i]}-{words[i + 1]}")
+            i += 2
+        else:
+            out.append(words[i])
+            i += 1
+    return out
+
+
+_CHUNK_RE = re.compile(r"([A-Za-z]+(?:-[A-Za-z]+)*)[.,!?]*")
+
+
+def chunk_tokenize(text: str, lexicon: Lexicon | None = None) -> list[str]:
+    """Lowercased word tokens, sentence punctuation stripped.
+
+    Every whitespace-separated chunk must be ASCII letters, optionally
+    joined by single hyphens, followed by optional `.,!?`; any other chunk
+    ("a2", "bears.sit", "-", ".") raises ParseError naming the chunk and
+    its position. Adjacent words that spell a hyphenated lexicon entry
+    ("light brown") are joined into the single lexeme.
+    """
+    lex = lexicon or default_lexicon()
+    words = []
+    for position, chunk in enumerate(text.split()):
+        m = _CHUNK_RE.fullmatch(chunk)
+        if m is None:
+            raise ParseError("malformed word", chunk, position)
+        words.append(m[1].lower())
+    out: list[str] = []
+    i = 0
+    while i < len(words):
+        if (words[i] in lex._join_heads and i + 1 < len(words)
+                and f"{words[i]}-{words[i + 1]}" in lex):
             out.append(f"{words[i]}-{words[i + 1]}")
             i += 2
         else:

@@ -6,7 +6,9 @@ function object for it; the locals it reads move into closure cells, which
 every access then goes through. On the learning path those costs are paid
 once per instance, and `learn_instances_per_s` measures them. The same goes
 for `Situation.__new__`, which checks the scene of every instance a
-curriculum generates or loads, so `setup_s` pays its costs. So the
+curriculum generates or loads, and for the tokenizer and the template
+walk, which read each distinct utterance once: `setup_s` pays their
+costs. So the
 functions below hold no nested code object and no cell variable. PEP 709
 inlines list, dict and set comprehensions from 3.12 on, which makes this
 test moot there; it still runs on every version.
@@ -25,6 +27,10 @@ HOT_PATH = (
     learner._link,
     learner.learn_curriculum,
     lang.parse,
+    lang.tokenize,
+    lang._parse,
+    lang._plural_np,
+    lang._det_np,
     learner.ObservationReport.__init__,
     graph.ConceptNetwork.get,
     graph.ConceptNetwork.write,

@@ -128,6 +128,36 @@ def test_parse_errors_name_the_offending_token(text, bad_token):
     assert err.value.token == bad_token
 
 
+# One row per template in parse's docstring, with its generic verdict. The
+# rule they pin: an utterance is generic exactly when every noun phrase in it
+# is a bare plural, so a mass-noun object makes a bare-plural subject's
+# utterance plain.
+@pytest.mark.parametrize("text,generic", [
+    ("a ball", False),                   # DET N
+    ("a red ball", False),               # DET COLOR N
+    ("two balls", False),                # NUM N-pl
+    ("many balls", False),               # many N-pl
+    ("balls", True),                     # N-pl
+    ("cookies are light brown", True),   # N-pl are COLOR
+    ("wugs are animals", True),          # N-pl are N-pl
+    ("bears sit", True),                 # N-pl V
+    ("bears drink milk", False),         # N-pl V N-mass
+    ("cats eat cookies", True),          # N-pl V N-pl
+    ("Mom sits", False),                 # PROPN V
+    ("Mom takes a cup", False),          # PROPN V DET N
+    ("Mom drinks juice", False),         # PROPN V N-mass
+    ("a dog sits", False),               # DET N V
+    ("a baby eats a cookie", False),     # DET N V DET N
+    ("a baby drinks milk", False),       # DET N V N-mass
+    # a bare-plural object after a proper noun or a determiner phrase also
+    # parses, though the docstring lists no such template
+    ("Mom eats cookies", False),         # PROPN V N-pl
+    ("a baby eats cookies", False),      # DET N V N-pl
+])
+def test_generic_verdict_per_template(text, generic):
+    assert parse(text).is_generic is generic
+
+
 def test_novel_plural_stem_is_a_whole_lexeme():
     # a stem ending in a newline is no lexeme, so no concept name
     with pytest.raises(ParseError):

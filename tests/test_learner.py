@@ -2,7 +2,7 @@ import itertools
 import json
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from wugnet.curriculum import Curriculum, builtin_curriculum
@@ -70,6 +70,29 @@ def test_situation_raises_exactly_when_the_dataclass_rule_did(scene_parts):
         with pytest.raises(ValueError) as info:
             Situation(entities, actions)
         assert str(info.value) == expected
+
+
+def _built(build, *args, **kwargs):
+    try:
+        situation = build(*args, **kwargs)
+    except ValueError as err:
+        return str(err)
+    return type(situation), situation
+
+
+@settings(max_examples=300, deadline=None)
+@given(scenes())
+@example(((Entity("e0", "dog"), Entity("e0", "cat")), ()))
+def test_make_and_replace_raise_exactly_when_the_constructor_does(scene_parts):
+    entities, actions = scene_parts
+    expected = _built(Situation, entities, actions)
+    assert _built(Situation._make, scene_parts) == expected
+    assert _built(Situation._make, iter(scene_parts)) == expected
+    assert _built(Situation()._replace, entities=entities, actions=actions) == expected
+    assert _built(Situation(entities[:1])._replace, entities=entities,
+                  actions=actions) == expected
+    if expected[0] is Situation:
+        assert _built(expected[1]._replace, actions=()) == _built(Situation, entities)
 
 
 def test_color_observation_updates_is_edge():
