@@ -454,7 +454,9 @@ def diff_networks(before: ConceptNetwork, after: ConceptNetwork) -> list[str]:
         out.append(f"+node {kind}/{name}")
     for kind, name in sorted(b_nodes - a_nodes):
         out.append(f"-node {kind}/{name}")
-    b_edges, a_edges = _edge_states(before), _edge_states(after)
+    b_edges, a_edges = ({(src.key, label, dst.key): (weight, generic)
+                         for src, dst, label, weight, generic in net.edges()}
+                        for net in (before, after))
     for key in sorted(a_edges.keys() - b_edges.keys()):
         out.append(f"+edge {key[0]} {key[1]} {key[2]} = {a_edges[key][0]:.17g}")
     for key in sorted(b_edges.keys() - a_edges.keys()):
@@ -464,13 +466,6 @@ def diff_networks(before: ConceptNetwork, after: ConceptNetwork) -> list[str]:
         if b_weight != a_weight or b_generic != a_generic:
             out.append(f"~edge {key[0]} {key[1]} {key[2]} {b_weight:.17g} -> {a_weight:.17g}")
     return out
-
-
-def _edge_states(net: ConceptNetwork) -> dict[tuple[str, str, str], tuple[float, bool]]:
-    """(source key, label, target key) -> (weight, generic flag), read from the store."""
-    generic = net._generic
-    return {(src.key, label, dst.key): (weight, (dst, label) in generic.get(src, ()))
-            for src, out in net._out.items() for (dst, label), weight in out.items()}
 
 
 # -- persistence --------------------------------------------------------

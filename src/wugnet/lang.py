@@ -366,7 +366,12 @@ def parse(text: str, lexicon: Lexicon | None = None) -> ParsedUtterance:
     """Tokenize an utterance and match one of the supported templates.
 
     DET (COLOR) N | NUM N-pl | many N-pl | N-pl | N-pl are COLOR |
-    N-pl are N-pl | N-pl V (N-mass | N-pl) | PROPN/DET N V (DET N | N-mass)
+    N-pl are N-pl | N-pl V (N-mass | N-pl) |
+    PROPN V (DET N | N-mass | N-pl) | DET (COLOR) N V (DET N | N-mass | N-pl)
+
+    Parentheses mark an optional part. An utterance is generic exactly when
+    every noun phrase in it is a bare plural, so "Mom eats cookies" and
+    "a baby eats wugs" are not.
 
     Unknown nouns are admitted only in bare-plural positions (strip-s rule)
     and flagged novel. The result is an immutable named tuple, memoized per

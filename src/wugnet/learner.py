@@ -107,13 +107,12 @@ class ObservationReport:
     edges (EdgeWrite) and mismatches are cached properties built from
     those facts on first read, so a caller that reads none of them pays
     one append per created node and per write, and never runs the scene
-    check. A cached value sits in the instance dict, so it can also be
-    assigned. A report made without a parse has no scene to check: no
-    mismatches.
+    check. Its identity is its journal line: compare reports by
+    `to_json_line`.
     """
 
     def __init__(self, utterance: str, is_generic: bool,
-                 parsed: ParsedUtterance | None = None, situation: Situation | None = None):
+                 parsed: ParsedUtterance, situation: Situation):
         self.utterance = utterance
         self.is_generic = is_generic
         self._nodes: list[Concept] = []
@@ -131,21 +130,7 @@ class ObservationReport:
 
     @cached_property
     def mismatches(self) -> list[str]:
-        parsed, situation = self._scene
-        return [] if parsed is None else _scene_mismatches(parsed, situation)
-
-    def _fields(self) -> tuple:
-        return (self.utterance, self.is_generic, self.created, self.edges, self.mismatches)
-
-    def __eq__(self, other):
-        if not isinstance(other, ObservationReport):
-            return NotImplemented
-        return self._fields() == other._fields()
-
-    def __repr__(self) -> str:
-        return (f"ObservationReport(utterance={self.utterance!r}, "
-                f"is_generic={self.is_generic!r}, created={self.created!r}, "
-                f"edges={self.edges!r}, mismatches={self.mismatches!r})")
+        return _scene_mismatches(*self._scene)
 
     def to_json_line(self, index: int) -> str:
         return json.dumps({

@@ -21,10 +21,17 @@ benchmark makes it:
   `generation/concept-space.txt`: each built-in curriculum generated at seed
   0, and perfbench's novel-members (seed 0, 1000 nouns, 1000 generics) and
   concept-space (seed 0, 250 nouns, 250 actions) curricula, as
-  `curriculum_to_text` saves them, scenes included.
+  `curriculum_to_text` saves them, scenes included;
+- `learn/<builtin>/network.txt`, `learn/<builtin>/journal-seed0.jsonl` and
+  `learn/<builtin>/journal-seed7.jsonl`: the network file that
+  `wugnet learn --curriculum builtin:<builtin> --seed 0 --trace` writes, and
+  the journal it writes at seeds 0 and 7, run through `cli.main` in a
+  temporary directory. A seed reorders a built-in's instances, so it moves
+  the journal, not the network (tests/test_cli.py checks seed 7's network).
 
-tests/test_golden.py checks each entry against tests/golden.json. That file
-changes only through this script:
+tests/test_golden.py checks each entry against tests/golden.json, the one
+record of output bytes in tests/ and CI. That file changes only through this
+script:
 
     PYTHONPATH=src python tests/golden.py --record
 """
@@ -39,6 +46,7 @@ import tempfile
 from functools import cache
 from pathlib import Path
 
+from wugnet import cli
 from wugnet.curriculum import (
     BUILTIN_PHASES,
     builtin_curriculum,
@@ -156,6 +164,18 @@ def _novel_members() -> ConceptNetwork:
     return net
 
 
+@cache
+def _traced_learn(name: str, seed: int) -> tuple[bytes, bytes]:
+    """The network file and journal `wugnet learn --seed <seed> --trace` writes for a built-in."""
+    with tempfile.TemporaryDirectory() as out:
+        network = Path(out) / "net.txt"
+        code = cli.main(["learn", "--curriculum", f"builtin:{name}", "--seed", str(seed),
+                         "--network", str(network), "--trace"])
+        if code != 0:
+            raise RuntimeError(f"learn builtin:{name} --seed {seed} exited {code}")
+        return network.read_bytes(), Path(f"{network}.trace.jsonl").read_bytes()
+
+
 def outputs() -> dict:
     """Entry name -> a function computing that output's bytes."""
     entries = {}
@@ -182,6 +202,11 @@ def outputs() -> dict:
         synth().novel_members_inputs(0, 1000, 1000)[1]).encode("utf-8")
     entries["generation/concept-space.txt"] = lambda: curriculum_to_text(
         synth().concept_space_inputs(0, 250, 250)[1]).encode("utf-8")
+    for name in sorted(BUILTIN_PHASES):
+        entries[f"learn/{name}/network.txt"] = lambda name=name: _traced_learn(name, 0)[0]
+        for seed in (0, 7):
+            entries[f"learn/{name}/journal-seed{seed}.jsonl"] = \
+                lambda name=name, seed=seed: _traced_learn(name, seed)[1]
     return entries
 
 

@@ -12,7 +12,7 @@ The subject is noun phrase 0, and a verb's object noun phrase 1.
 
 from wugnet.graph import ACTION, ATTRIBUTE, CATEGORY, IS, OBJECT, SLOT1, SLOT2
 from wugnet.lang import _parse, default_lexicon, tokenize
-from wugnet.learner import EdgeWrite, ObservationReport, UnlearnableGeneric, _scene_mismatches
+from wugnet.learner import EdgeWrite, ObservationReport, UnlearnableGeneric
 
 
 def _ensure(net, report, name, kind):
@@ -41,8 +41,7 @@ def observe(net, instance, lexicon=None):
     if parsed.is_generic:
         return process_generic(net, parsed, instance.situation, " ".join(tokens))
 
-    report = ObservationReport(instance.utterance, is_generic=False)
-    report.mismatches = _scene_mismatches(parsed, instance.situation)
+    report = ObservationReport(instance.utterance, False, parsed, instance.situation)
     nodes = [_ensure(net, report, np.lemma, OBJECT) for np in parsed.noun_phrases]
     for np, node in zip(parsed.noun_phrases, nodes):
         if np.modifier is not None:
@@ -60,8 +59,7 @@ def process_generic(net, parsed, situation, text):
     """Learn a generic; its report names the utterance as text, its tokens joined."""
     if not parsed.is_generic:
         raise ValueError("process_generic expects a generic utterance")
-    report = ObservationReport(text, is_generic=True)
-    report.mismatches = _scene_mismatches(parsed, situation)
+    report = ObservationReport(text, True, parsed, situation)
 
     if parsed.verb is not None:
         subject = _ensure(net, report, parsed.noun_phrases[0].lemma, OBJECT)

@@ -149,8 +149,6 @@ def test_parse_errors_name_the_offending_token(text, bad_token):
     ("a dog sits", False),               # DET N V
     ("a baby eats a cookie", False),     # DET N V DET N
     ("a baby drinks milk", False),       # DET N V N-mass
-    # a bare-plural object after a proper noun or a determiner phrase also
-    # parses, though the docstring lists no such template
     ("Mom eats cookies", False),         # PROPN V N-pl
     ("a baby eats cookies", False),      # DET N V N-pl
 ])

@@ -40,8 +40,9 @@ def _fresh():
 
 
 def _outcome(net, instance, lex):
+    """observe's journal line for the instance, or the error it raised."""
     try:
-        return observe(net, instance, lex)
+        return observe(net, instance, lex).to_json_line(0)
     except ValueError as err:  # ParseError, UnlearnableGeneric, EdgeRuleError
         return (type(err), str(err))
 
