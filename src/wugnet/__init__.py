@@ -5,6 +5,8 @@ scenes and utterances; generic statements (bare plurals) maximize the
 asserted association and can introduce categories and novel objects.
 """
 
+from importlib import import_module
+
 from .errors import FormatError
 from .graph import (
     ACTION,
@@ -41,14 +43,6 @@ from .learner import (
     learn_curriculum,
     observe,
 )
-from .matrix import (
-    ConceptMatrix,
-    agglomerative_order,
-    build_matrix,
-    category_vector,
-    concept_vector,
-    cosine_similarity,
-)
 from .curriculum import (
     Curriculum,
     CurriculumSpec,
@@ -58,6 +52,30 @@ from .curriculum import (
     load_curriculum,
     save_curriculum,
 )
-from .tasks import TaskResult, run_task, run_task1, run_task2, run_task3
 
 __version__ = "0.1.0"
+
+# Names of the numpy-backed modules, imported on first use (PEP 562), so
+# that learning and querying a network never load numpy.
+_LAZY = {
+    "matrix": "matrix",
+    "ConceptMatrix": "matrix",
+    "agglomerative_order": "matrix",
+    "build_matrix": "matrix",
+    "category_vector": "matrix",
+    "concept_vector": "matrix",
+    "cosine_similarity": "matrix",
+    "tasks": "tasks",
+    "TaskResult": "tasks",
+    "run_task": "tasks",
+    "run_task1": "tasks",
+    "run_task2": "tasks",
+    "run_task3": "tasks",
+}
+
+
+def __getattr__(name: str):
+    if name not in _LAZY:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    module = import_module(f".{_LAZY[name]}", __name__)
+    return module if name == _LAZY[name] else getattr(module, name)

@@ -3,6 +3,9 @@
 Subcommands: learn, query, similar, run-task, export. Results go to
 stdout, diagnostics to stderr. Exit codes: 0 success, 1 usage or parse
 failure or a failed task check, 2 I/O failure.
+
+The numpy-backed modules, matrix and tasks, are imported inside the
+subcommands that use them, so `learn` and `query` never load numpy.
 """
 
 from __future__ import annotations
@@ -17,16 +20,6 @@ from .errors import FormatError
 from .graph import CATEGORY, ConceptNetwork, load_network, save_network
 from .lang import ParseError
 from .learner import UnlearnableGeneric, learn_curriculum
-from .matrix import (
-    agglomerative_order,
-    build_matrix,
-    category_vector,
-    clusters_to_text,
-    concept_vector,
-    cosine_similarity,
-    matrix_to_csv,
-)
-from .tasks import run_task, write_task_outputs
 
 EXIT_OK = 0
 EXIT_FAIL = 1
@@ -94,7 +87,16 @@ def _resolve_concept(net: ConceptNetwork, name: str):
     return nodes[0]
 
 
+def run_task(task_id: int, seed: int):
+    """tasks.run_task, imported on the call."""
+    from .tasks import run_task
+
+    return run_task(task_id, seed=seed)
+
+
 def _vector_for(net, matrix, name: str):
+    from .matrix import category_vector, concept_vector
+
     node = _resolve_concept(net, name)
     if node.kind == CATEGORY:
         members = net.members_of(node)
@@ -141,6 +143,8 @@ def _cmd_query(args) -> int:
 
 
 def _cmd_similar(args) -> int:
+    from .matrix import build_matrix, cosine_similarity
+
     net = load_network(args.network)
     matrix = build_matrix(net)
     u = _vector_for(net, matrix, args.concept_a)
@@ -150,6 +154,8 @@ def _cmd_similar(args) -> int:
 
 
 def _cmd_run_task(args) -> int:
+    from .tasks import write_task_outputs
+
     result = run_task(args.task_id, seed=args.seed)
     paths = write_task_outputs(result, args.out)
     for name, ok in result.checks:
@@ -160,6 +166,8 @@ def _cmd_run_task(args) -> int:
 
 
 def _cmd_export(args) -> int:
+    from .matrix import agglomerative_order, build_matrix, clusters_to_text, matrix_to_csv
+
     net = load_network(args.network)
     matrix = build_matrix(net)
     if args.what == "matrix":

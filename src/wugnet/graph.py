@@ -20,7 +20,8 @@ down the rows of its weight block: accumulate is defined as
 r[i] = r[i-1] + a[i], the same adds in the same order. Never the builtin sum()
 (compensated for floats since CPython 3.12), math.fsum, or np.sum /
 np.add.reduce, which add a contiguous axis pairwise and so round
-differently.
+differently. numpy is imported only by the fold's code, so a process whose
+categories stay below FOLD_MIN_MEMBERS members never loads it.
 """
 
 from __future__ import annotations
@@ -32,8 +33,6 @@ from operator import itemgetter
 from pathlib import Path
 from types import MappingProxyType
 from typing import NamedTuple
-
-import numpy as np
 
 from .errors import FormatError
 
@@ -142,6 +141,8 @@ class _Fold:
     __slots__ = ("keys", "columns", "block", "dirty")
 
     def __init__(self, members: list[Concept]):
+        import numpy as np
+
         self.keys: list[tuple[str, str]] = []
         self.columns: dict[tuple[Concept, str], int] = {}
         self.block = np.zeros((1, 0))
@@ -150,6 +151,8 @@ class _Fold:
 
 def _fold_totals(block: np.ndarray) -> list[float]:
     """Each column's left fold down the rows: ((b[0] + b[1]) + b[2]) + ... + b[-1]."""
+    import numpy as np
+
     return np.add.accumulate(block, axis=0)[-1].tolist()
 
 
@@ -383,6 +386,8 @@ class ConceptNetwork:
         right. Edges are never removed, so writing a member's weights into
         its row sets it.
         """
+        import numpy as np
+
         keys, columns, out = fold.keys, fold.columns, self._out
         dirty = sorted(fold.dirty, key=_member_order)
         fold.dirty.clear()
@@ -477,19 +482,25 @@ _FLAGS = {"generic:0": False, "generic:1": True}
 def network_to_text(net: ConceptNetwork) -> str:
     """Header, nodes sorted by kind and name, then edges sorted by source, target and label.
 
-    Each node's key, and each (target, label)'s middle field, is formatted
-    once. The (target, label) keys are sorted once, across the network;
+    Each node's key is formatted once, and so is each (target, label)'s
+    line tail, ` <label> <kind/name> %.17g generic:<0|1>`, in both flag
+    forms. The (target, label) keys are sorted once, across the network;
     each source's out-edges are then walked in the node order, sorted by
-    their keys' ranks, ints, rather than by comparing tuples.
+    their keys' ranks, ints, rather than by comparing tuples. The file is
+    one template, and one `%` fills in every weight, in line order:
+    `%.17g` is the conversion format(w, ".17g") makes (-0.0 prints -0),
+    and no `%` can reach the template, since every name matches NAME_RE.
     """
     nodes = net.concepts()
     names = {node: f"{node.kind}/{node.name}" for node in nodes}
     store, generic = net._out, net._generic
     keys = sorted({key for out in store.values() for key in out})
     rank = {key: i for i, key in enumerate(keys)}
-    middles = [f" {label} {names[dst]} " for dst, label in keys]
-    lines = [_HEADER]
-    lines.extend(f"node {node.kind} {node.name}" for node in nodes)
+    tails = [(f" {label} {names[dst]} %.17g generic:0\n",
+              f" {label} {names[dst]} %.17g generic:1\n") for dst, label in keys]
+    parts = [f"{_HEADER}\n"]
+    parts.extend(f"node {node.kind} {node.name}\n" for node in nodes)
+    weights: list[float] = []
     for src in nodes:
         out = store[src]
         if out:
@@ -497,8 +508,10 @@ def network_to_text(net: ConceptNetwork) -> str:
             flags = generic.get(src, ())
             for i in sorted(map(rank.__getitem__, out)):
                 key = keys[i]
-                lines.append(f"{head}{middles[i]}{out[key]:.17g} generic:{int(key in flags)}")
-    return "\n".join(lines) + "\n"
+                parts.append(head)
+                parts.append(tails[i][key in flags])
+                weights.append(out[key])
+    return "".join(parts) % tuple(weights)
 
 
 def network_from_text(text: str) -> ConceptNetwork:

@@ -89,6 +89,12 @@ def category_vector(matrix: ConceptMatrix, category: Concept,
                     members: list[Concept]) -> np.ndarray:
     """Mean of the member rows, as a new array; a category with no members has no vector.
 
+    A miss takes the member rows in one copy and performs the reduction and
+    division that ndarray.mean(axis=0) performs on them: np.add.reduce down
+    the rows, then true division by the member count, without mean's
+    wrapper calls. tests/test_matrix.py's uncached_mean, the mean itself,
+    is its oracle.
+
     The matrix keeps the last vector it computed for each category, with
     the members it came from. A call whose members equal that sequence,
     the same concepts in the same order (the order fixes the summation
@@ -103,7 +109,8 @@ def category_vector(matrix: ConceptMatrix, category: Concept,
     kept = matrix._category_vectors.get(category)
     if kept is not None and kept[0] == members:
         return kept[1].copy()
-    vec = matrix.weights[[matrix.row_of(m) for m in members]].mean(axis=0)
+    rows = [matrix.row_of(m) for m in members]
+    vec = np.add.reduce(matrix.weights.take(rows, axis=0), axis=0) / len(rows)
     matrix._category_vectors[category] = (members, vec)
     return vec.copy()
 
@@ -115,19 +122,21 @@ def cosine_similarity(u, v) -> float:
     vectors score exactly 1.0. Both are read C-contiguous (a contiguous
     float64 input is not copied), so a strided or Fortran-ordered row goes
     through the same BLAS kernel, and gives the same bits, as its copy.
+    Each dot product is ndarray.dot, which reaches the same BLAS ddot as
+    np.dot without np.dot's __array_function__ dispatch.
     """
     u = np.ascontiguousarray(u, dtype=np.float64)
     v = np.ascontiguousarray(v, dtype=np.float64)
     if u.shape != v.shape:
         raise ValueError(f"dimension mismatch: {u.shape} vs {v.shape}")
-    uu = float(np.dot(u, u))
-    vv = float(np.dot(v, v))
+    uu = float(u.dot(u))
+    vv = float(v.dot(v))
     if uu == 0.0 or vv == 0.0:
         return 0.0
     denom = math.sqrt(uu * vv)
     if denom == 0.0:  # uu * vv underflowed; both norms are tiny but nonzero
         denom = math.sqrt(uu) * math.sqrt(vv)
-    return min(1.0, max(0.0, float(np.dot(u, v)) / denom))
+    return min(1.0, max(0.0, float(u.dot(v)) / denom))
 
 
 @dataclass(eq=False, repr=False)

@@ -1,5 +1,11 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
+import wugnet
 from wugnet import cli
 from wugnet.cli import main
 from wugnet.curriculum import BUILTIN_PHASES
@@ -271,3 +277,50 @@ def test_one_parser_serves_every_call_in_a_process(tmp_path, capsys):
     assert run(capsys, "learn", "--help") == run(capsys, "learn", "--help")
     assert run(capsys, "learn")[0] == 1
     assert cli._build_parser.cache_info().misses == 1
+
+
+# Runs `wugnet <argv>` through cli.main, then names on stderr every numpy
+# module the run loaded and exits 4 if there is one.
+NUMPY_CHECK = """
+import sys
+from wugnet import cli
+code = cli.main(sys.argv[1:])
+loaded = sorted(name for name in sys.modules if name.split(".")[0] == "numpy")
+print("numpy modules:", loaded, file=sys.stderr)
+sys.exit(code or (4 if loaded else 0))
+"""
+
+
+def run_fresh(*argv):
+    """`wugnet <argv>` in a fresh interpreter that imports this checkout's wugnet."""
+    src = str(Path(wugnet.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    return subprocess.run([sys.executable, "-c", NUMPY_CHECK, *argv], env=env,
+                          capture_output=True, text=True, timeout=60)
+
+
+def test_learn_and_query_do_not_import_numpy(tmp_path, capsys):
+    net_file = tmp_path / "net.txt"
+    learned = run_fresh("learn", "--curriculum", "builtin:obj-actions-kinds-generics",
+                        "--network", str(net_file))
+    assert learned.returncode == 0, learned.stderr
+    assert "numpy modules: []" in learned.stderr
+    in_process = tmp_path / "in-process.txt"
+    assert run(capsys, "learn", "--curriculum", "builtin:obj-actions-kinds-generics",
+               "--network", str(in_process))[0] == 0
+    assert net_file.read_bytes() == in_process.read_bytes()
+    for concept in ("animal", "chicken"):
+        queried = run_fresh("query", "--network", str(net_file), concept)
+        assert queried.returncode == 0, queried.stderr
+        assert "numpy modules: []" in queried.stderr
+        assert queried.stdout == run(capsys, "query", "--network", str(net_file), concept)[1]
+        assert queried.stdout.strip()
+
+
+def test_the_check_sees_numpy_when_a_command_loads_it(tmp_path):
+    net_file = tmp_path / "net.txt"
+    net_file.write_text("conceptnet v1\nnode object ball\n")
+    similar = run_fresh("similar", "--network", str(net_file), "ball", "ball")
+    assert similar.returncode == 4
+    assert "'numpy'" in similar.stderr

@@ -190,18 +190,54 @@ def test_cosine_scale_invariance(u, alpha):
         cosine_similarity(u, v), abs=1e-12)
 
 
-def test_cosine_reads_strided_rows_as_their_contiguous_copies():
-    # BLAS sums a strided dot product in another order than a contiguous one
+def strided_weights():
+    """A sparse 40 x 30 matrix as a Fortran-ordered copy and as every other column."""
     rng = np.random.default_rng(40)
     w = rng.random((40, 30))
     w[rng.random((40, 30)) < 0.6] = 0.0
-    for strided in (np.asfortranarray(w), w[:, ::2]):
+    return np.asfortranarray(w), w[:, ::2]
+
+
+def test_cosine_reads_strided_rows_as_their_contiguous_copies():
+    # BLAS sums a strided dot product in another order than a contiguous one
+    for strided in strided_weights():
         contiguous = np.ascontiguousarray(strided)
-        for i in range(len(w)):
-            for j in range(len(w)):
+        for i in range(len(strided)):
+            for j in range(len(strided)):
                 if i != j:
                     assert (cosine_similarity(strided[i], strided[j])
                             == cosine_similarity(contiguous[i], contiguous[j]))
+
+
+def reference_cosine(u, v):
+    """cosine_similarity's arithmetic, each dot product as float(np.dot(...))."""
+    u = np.ascontiguousarray(u, dtype=np.float64)
+    v = np.ascontiguousarray(v, dtype=np.float64)
+    uu, vv = float(np.dot(u, u)), float(np.dot(v, v))
+    if uu == 0.0 or vv == 0.0:
+        return 0.0
+    denom = math.sqrt(uu * vv)
+    if denom == 0.0:
+        denom = math.sqrt(uu) * math.sqrt(vv)
+    return min(1.0, max(0.0, float(np.dot(u, v)) / denom))
+
+
+def test_cosine_is_the_np_dot_reference_on_random_vectors():
+    rng = np.random.default_rng(41)
+    for _ in range(600):
+        n = int(rng.integers(1, 201))
+        u, v = rng.random(n), rng.random(n)
+        u[rng.random(n) < rng.random()] = 0.0
+        v[rng.random(n) < rng.random()] = 0.0
+        u *= 10.0 ** rng.integers(-160, 1)  # tiny norms reach the underflow fallback
+        if rng.random() < 0.2:
+            v = u.copy()
+        assert cosine_similarity(u, v) == reference_cosine(u, v)
+    for strided in strided_weights():
+        for i in range(len(strided)):
+            for j in range(len(strided)):
+                assert cosine_similarity(strided[i], strided[j]) == reference_cosine(
+                    strided[i], strided[j])
 
 
 def test_category_vector_linearity():
@@ -245,19 +281,70 @@ def three_member_matrix():
     return ConceptMatrix((a, b, c), columns, weights), cat, a, b, c
 
 
-def test_repeated_category_vectors_are_the_uncached_mean():
-    from wugnet.curriculum import builtin_curriculum
-    from wugnet.learner import learn_curriculum
+def learned_networks():
+    """(label, network): every built-in, task 2's three networks after their
+    novel generics, and a concept-space-sized synthetic network (250 objects,
+    83-84 per category), built as tests/golden.py builds its synthetic inputs."""
+    from golden import synth
+    from wugnet.curriculum import BUILTIN_PHASES, builtin_curriculum
+    from wugnet.learner import learn_curriculum, observe
+    from wugnet.tasks import NOVEL_OBJECTS, TASK2_CURRICULA, membership_instance
 
+    for name in sorted(BUILTIN_PHASES):
+        net = ConceptNetwork()
+        learn_curriculum(net, builtin_curriculum(name))
+        yield name, net
+    for name in TASK2_CURRICULA:
+        net = ConceptNetwork()
+        learn_curriculum(net, builtin_curriculum(name))
+        for novel, category in NOVEL_OBJECTS:
+            observe(net, membership_instance(novel, category))
+        yield f"task 2 {name}", net
+    lexicon, curriculum = synth().concept_space_inputs(0, 250, 250)
     net = ConceptNetwork()
-    learn_curriculum(net, builtin_curriculum("obj-actions-kinds-generics"))
-    m = build_matrix(net)
-    for name in ("animal", "food", "people"):
-        cat = net.require(name, CATEGORY)
-        expected = uncached_mean(m, net.members_of(cat)).tobytes()
-        vectors = [category_vector(m, cat, net.members_of(cat)) for _ in range(3)]
-        assert [v.tobytes() for v in vectors] == [expected] * 3
-        assert not np.shares_memory(vectors[0], vectors[1])
+    learn_curriculum(net, curriculum, lexicon)
+    yield "concept-space", net
+
+
+def test_repeated_category_vectors_are_the_uncached_mean():
+    sizes = []
+    for label, net in learned_networks():
+        m = build_matrix(net)
+        for cat in (c for c in net.concepts() if c.kind == CATEGORY):
+            members = net.members_of(cat)
+            sizes.append(len(members))
+            expected = uncached_mean(m, members).tobytes()
+            vectors = [category_vector(m, cat, net.members_of(cat)) for _ in range(3)]
+            assert [v.tobytes() for v in vectors] == [expected] * 3, (label, cat)
+            assert not np.shares_memory(vectors[0], vectors[1])
+    assert len(sizes) >= 20 and min(sizes) <= 3 and max(sizes) >= 80
+
+
+cells = st.one_of(st.just(0.0), st.just(-0.0), st.floats(-1.0, 1.0, width=64))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_category_vectors_of_any_member_sequence_are_the_uncached_mean(data):
+    rows = data.draw(st.integers(1, 12), label="rows")
+    cols = data.draw(st.integers(1, 6), label="cols")
+    weights = np.array(data.draw(st.lists(cells, min_size=rows * cols, max_size=rows * cols)),
+                       dtype=np.float64).reshape(rows, cols)
+    concepts = tuple(Concept(OBJECT, f"m-{chr(97 + i)}") for i in range(rows))
+    columns = tuple(ExpandedColumn(Concept(ATTRIBUTE, f"a-{chr(97 + j)}"), IS)
+                    for j in range(cols))
+    m = ConceptMatrix(concepts, columns, weights)
+    cat = Concept(CATEGORY, "things")
+    members = data.draw(st.lists(st.sampled_from(concepts), min_size=1, max_size=40),
+                        label="members")
+    for _ in range(data.draw(st.integers(1, 6), label="calls")):
+        step = data.draw(st.sampled_from(("repeat", "reorder", "new")), label="step")
+        if step == "reorder":
+            members = data.draw(st.permutations(members), label="members")
+        elif step == "new":
+            members = data.draw(st.lists(st.sampled_from(concepts), min_size=1, max_size=40),
+                                label="members")
+        assert category_vector(m, cat, members).tobytes() == uncached_mean(m, members).tobytes()
 
 
 def test_each_member_sequence_gets_its_own_mean():
