@@ -4,8 +4,10 @@ Subcommands: learn, query, similar, run-task, export. Results go to
 stdout, diagnostics to stderr. Exit codes: 0 success, 1 usage or parse
 failure or a failed task check, 2 I/O failure.
 
-The numpy-backed modules, matrix and tasks, are imported inside the
-subcommands that use them, so `learn` and `query` never load numpy.
+Only graph is imported at module level. Each subcommand imports the
+other layers it runs, so `query` loads graph alone and neither `learn`
+nor `query` loads numpy. The subcommands here and graph's fold code
+are the package's only imports inside functions.
 """
 
 from __future__ import annotations
@@ -15,11 +17,7 @@ import functools
 import sys
 from pathlib import Path
 
-from .curriculum import builtin_curriculum, load_curriculum
-from .errors import FormatError
 from .graph import CATEGORY, ConceptNetwork, load_network, save_network
-from .lang import ParseError
-from .learner import UnlearnableGeneric, learn_curriculum
 
 EXIT_OK = 0
 EXIT_FAIL = 1
@@ -87,13 +85,6 @@ def _resolve_concept(net: ConceptNetwork, name: str):
     return nodes[0]
 
 
-def run_task(task_id: int, seed: int):
-    """tasks.run_task, imported on the call."""
-    from .tasks import run_task
-
-    return run_task(task_id, seed=seed)
-
-
 def _vector_for(net, matrix, name: str):
     from .matrix import category_vector, concept_vector
 
@@ -106,6 +97,9 @@ def _vector_for(net, matrix, name: str):
 
 
 def _cmd_learn(args) -> int:
+    from .curriculum import builtin_curriculum, load_curriculum
+    from .learner import learn_curriculum
+
     if args.curriculum.startswith("builtin:"):
         curriculum = builtin_curriculum(args.curriculum[len("builtin:"):], seed=args.seed or 0)
     elif args.seed is not None:
@@ -154,7 +148,7 @@ def _cmd_similar(args) -> int:
 
 
 def _cmd_run_task(args) -> int:
-    from .tasks import write_task_outputs
+    from .tasks import run_task, write_task_outputs
 
     result = run_task(args.task_id, seed=args.seed)
     paths = write_task_outputs(result, args.out)
@@ -195,7 +189,7 @@ def main(argv=None) -> int:
     }
     try:
         return handlers[args.command](args)
-    except (ParseError, FormatError, UnlearnableGeneric, KeyError, ValueError) as err:
+    except (KeyError, ValueError) as err:  # ParseError, FormatError, UnlearnableGeneric among them
         message = err.args[0] if err.args else err
         print(f"wugnet: error: {message}", file=sys.stderr)
         return EXIT_FAIL

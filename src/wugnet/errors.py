@@ -1,7 +1,8 @@
 """The error shared by the network, lexicon and curriculum text formats.
 
-It lives in its own module because every layer that reads a text format
-imports it, and none of those layers may import another just for it.
+It lives in its own module because three formats share the class (the
+network's in graph, the lexicon's in lang, the curriculum's in
+curriculum) and it belongs to none of them.
 """
 
 from __future__ import annotations

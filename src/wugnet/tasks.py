@@ -16,6 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from pathlib import Path
 
+from .charts import grouped_bar_svg
 from .curriculum import (
     DEFAULT_COLOR_GENERICS,
     DEFAULT_COLOR_TABLE,
@@ -236,8 +237,6 @@ def run_task(task_id: int, seed: int = 0) -> TaskResult:
 
 def write_task_outputs(result: TaskResult, out_dir: str | Path) -> list[Path]:
     """Write task<k>.csv and task<k>.svg into out_dir; returns the paths."""
-    from .charts import grouped_bar_svg
-
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     csv_path = out / f"task{result.task_id}.csv"

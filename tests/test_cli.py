@@ -1,3 +1,4 @@
+import ast
 import os
 import subprocess
 import sys
@@ -201,7 +202,7 @@ def test_run_task1_outputs(tmp_path, capsys):
 def test_run_task_exits_1_when_a_check_fails(tmp_path, capsys, monkeypatch):
     failing = TaskResult(3, ("condition", "animal", "food"), [("none", 0.5, 0.25)],
                          [("holds", True), ("breaks", False)], "title", "similarity", ["none"])
-    monkeypatch.setattr(cli, "run_task", lambda task_id, seed: failing)
+    monkeypatch.setattr("wugnet.tasks.run_task", lambda task_id, seed: failing)
     code, out, _ = run(capsys, "run-task", "3", "--out", str(tmp_path))
     assert code == 1
     assert "task 3 check: FAIL - breaks" in out
@@ -280,13 +281,15 @@ def test_one_parser_serves_every_call_in_a_process(tmp_path, capsys):
 
 
 # Runs `wugnet <argv>` through cli.main, then names on stderr every numpy
-# module the run loaded and exits 4 if there is one.
+# and every wugnet module the run loaded, and exits 4 if numpy is among them.
 NUMPY_CHECK = """
 import sys
 from wugnet import cli
 code = cli.main(sys.argv[1:])
 loaded = sorted(name for name in sys.modules if name.split(".")[0] == "numpy")
 print("numpy modules:", loaded, file=sys.stderr)
+print("wugnet modules:", sorted(name for name in sys.modules if name.split(".")[0] == "wugnet"),
+      file=sys.stderr)
 sys.exit(code or (4 if loaded else 0))
 """
 
@@ -300,12 +303,19 @@ def run_fresh(*argv):
                           capture_output=True, text=True, timeout=60)
 
 
+def wugnet_modules(run) -> set[str]:
+    """The wugnet modules a run_fresh run reports it loaded."""
+    line = next(line for line in run.stderr.splitlines() if line.startswith("wugnet modules: "))
+    return set(ast.literal_eval(line[len("wugnet modules: "):]))
+
+
 def test_learn_and_query_do_not_import_numpy(tmp_path, capsys):
     net_file = tmp_path / "net.txt"
     learned = run_fresh("learn", "--curriculum", "builtin:obj-actions-kinds-generics",
                         "--network", str(net_file))
     assert learned.returncode == 0, learned.stderr
     assert "numpy modules: []" in learned.stderr
+    assert not wugnet_modules(learned) & {"wugnet.matrix", "wugnet.tasks", "wugnet.charts"}
     in_process = tmp_path / "in-process.txt"
     assert run(capsys, "learn", "--curriculum", "builtin:obj-actions-kinds-generics",
                "--network", str(in_process))[0] == 0
@@ -314,6 +324,7 @@ def test_learn_and_query_do_not_import_numpy(tmp_path, capsys):
         queried = run_fresh("query", "--network", str(net_file), concept)
         assert queried.returncode == 0, queried.stderr
         assert "numpy modules: []" in queried.stderr
+        assert wugnet_modules(queried) == {"wugnet", "wugnet.cli", "wugnet.errors", "wugnet.graph"}
         assert queried.stdout == run(capsys, "query", "--network", str(net_file), concept)[1]
         assert queried.stdout.strip()
 
