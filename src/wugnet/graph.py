@@ -176,7 +176,9 @@ class ConceptNetwork:
     already passed them.
     When it creates an `is` edge into a category it inserts the source
     into that category's member list, kept sorted by (name, kind), so
-    members_of is a copy of that list: O(members), not O(edges).
+    members_of is a copy of that list: O(members), not O(edges). A member
+    whose name sorts after the last member's is appended, as a saved
+    file's members of one kind arrive; only the others are bisected in.
     member_average sums over that list in its order; that fixed order is
     what keeps network files holding inherited features byte-identical.
     A category that has been averaged at FOLD_MIN_MEMBERS or more members
@@ -267,7 +269,9 @@ class ConceptNetwork:
         stored. old is 0.0 for an edge this write creates; the flag is the
         edge's after the write. Nothing changes unless every check passes.
         Each check is one probe; only a failed probe calls the helper that
-        raises the error naming it.
+        raises the error naming it. A new `is` edge into a category joins
+        its source to the member list: an append when the source's name
+        sorts after the last member's, an insort otherwise.
         """
         out = self._out.get(src)
         if out is None:
@@ -289,7 +293,11 @@ class ConceptNetwork:
             old = 0.0
             key = self._keys.setdefault(key, key)
             if label == IS and dst.kind == CATEGORY:
-                insort(self._members.setdefault(dst, []), src, key=_member_order)
+                members = self._members.setdefault(dst, [])
+                if not members or members[-1].name < src.name:
+                    members.append(src)
+                else:
+                    insort(members, src, key=_member_order)
                 fold = self._folds.get(dst)
                 if fold is not None:
                     self._member_folds.setdefault(src, []).append(fold)
@@ -521,13 +529,21 @@ def network_from_text(text: str) -> ConceptNetwork:
     first; only the header line is stripped. Node lines map each
     `kind/name` key to its Concept, so an edge line looks both keys up in
     one probe each; _node_from_key is called only to raise the error for
-    a key that misses. A second line for the same (source, label, target)
-    is rejected, after the checks on the line's own fields, not left to
-    overwrite the first.
+    a key that misses. A file lists each source's edges together, so the
+    source's Concept and out-edge dict are kept from the previous edge
+    line and looked up again only when its key changes. Each distinct
+    weight text is parsed once, into a dict local to this load and keyed
+    by the text, so `-0` and `0` stay apart and a bad weight still fails
+    at its own line. A second line for the same (source, label, target)
+    is rejected, after write's checks on the line's own fields, not left
+    to overwrite the first: it is the write that leaves the source's
+    out-edge dict no larger.
     """
     net = ConceptNetwork()
     write, out = net.write, net._out
     nodes: dict[str, Concept] = {}
+    weights: dict[str, float] = {}
+    last_key = src = src_out = None
     lines = enumerate(text.splitlines(), start=1)
     for lineno, line in lines:
         fields = line.split()
@@ -547,21 +563,25 @@ def network_from_text(text: str) -> ConceptNetwork:
             if len(fields) != 6:
                 raise NetworkFormatError("edge line needs 6 fields", lineno)
             _, src_key, label, dst_key, weight_s, flag_s = fields
-            src = nodes.get(src_key) or _node_from_key(net, src_key, lineno)
+            if src_key != last_key:
+                src = nodes.get(src_key) or _node_from_key(net, src_key, lineno)
+                last_key, src_out = src_key, out[src]
             dst = nodes.get(dst_key) or _node_from_key(net, dst_key, lineno)
-            try:
-                weight = float(weight_s)
-            except ValueError as err:
-                raise NetworkFormatError(f"bad weight {weight_s!r}", lineno) from err
+            weight = weights.get(weight_s)
+            if weight is None:
+                try:
+                    weight = weights[weight_s] = float(weight_s)
+                except ValueError as err:
+                    raise NetworkFormatError(f"bad weight {weight_s!r}", lineno) from err
             generic = _FLAGS.get(flag_s)
             if generic is None:
                 raise NetworkFormatError(f"bad generic flag {flag_s!r}", lineno)
-            repeat = (dst, label) in out[src]
+            size = len(src_out)
             try:
                 write(src, dst, label, weight, generic)
             except ValueError as err:
                 raise NetworkFormatError(str(err), lineno) from err
-            if repeat:
+            if len(src_out) == size:
                 raise NetworkFormatError(f"duplicate edge {src_key} {label} {dst_key}", lineno)
         elif tag == "node":
             if len(fields) != 3:

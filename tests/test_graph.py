@@ -1,3 +1,5 @@
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -19,6 +21,7 @@ from wugnet.graph import (
     network_from_text,
     network_to_text,
 )
+from wugnet.learner import LearningInstance, Situation, observe
 
 
 @pytest.fixture
@@ -290,6 +293,45 @@ def test_comments_and_blank_lines_ignored():
     text = "# saved network\nconceptnet v1\n\nnode object dog\n# trailing\n"
     net = network_from_text(text)
     assert net.get("dog", OBJECT) is not None
+
+
+def test_a_member_listed_before_one_it_sorts_after_loads_in_name_order():
+    # a file sorts sources by kind first, so action/zed comes before object/ant
+    text = ("conceptnet v1\nnode action zed\nnode category kind\nnode object ant\n"
+            "node object zed\n"
+            "edge action/zed is category/kind 1 generic:0\n"
+            "edge object/ant is category/kind 1 generic:0\n"
+            "edge object/zed is category/kind 1 generic:0\n")
+    net = network_from_text(text)
+    category = net.require("kind", CATEGORY)
+    ant, zed_act, zed = (net.require(name, kind)
+                         for name, kind in (("ant", OBJECT), ("zed", ACTION), ("zed", OBJECT)))
+    assert net.members_of(category) == [ant, zed_act, zed]
+    assert network_to_text(net) == text
+    # a member sharing the last member's name, but of a kind that sorts before it
+    zed_attr = net.add_concept("zed", ATTRIBUTE)
+    net.write(zed_attr, category, IS, 1.0, False)
+    assert net.members_of(category) == [ant, zed_act, zed_attr, zed] == members_scan(net, category)
+
+
+def test_a_loaded_category_learns_a_novel_member_as_the_original_does():
+    net = ConceptNetwork()
+    animal = net.add_concept("animal", CATEGORY)
+    red, sit = net.add_concept("red", ATTRIBUTE), net.add_concept("sit", ACTION)
+    rng = random.Random(0)
+    names = [f"k{a}{b}" for a in "aeiou" for b in "bdgklmnpt"][:FOLD_MIN_MEMBERS + 4]
+    for i, name in enumerate(names):
+        # every ninth member an action, listed in the file before every object
+        member = net.add_concept(name, ACTION if i % 9 == 4 else OBJECT)
+        net.write(member, animal, IS, 1.0, True)
+        net.write(member, red, IS, rng.choice([0.0, -0.0, 0.2, 0.36, 1.0]), False)
+        net.write(member, sit, SLOT1, rng.random(), False)
+    loaded = network_from_text(network_to_text(net))
+    assert loaded.members_of(animal) == net.members_of(animal) == members_scan(net, animal)
+    for network in (net, loaded):
+        observe(network, LearningInstance(Situation(), "kibes are animals"))
+    assert len(loaded.members_of(animal)) == FOLD_MIN_MEMBERS + 5
+    assert network_to_text(loaded) == network_to_text(net)
 
 
 def test_copy_is_equal_and_independent(net):

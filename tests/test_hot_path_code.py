@@ -8,8 +8,9 @@ once per instance, and `learn_instances_per_s` measures them. The same goes
 for `Situation.__new__`, which checks the scene of every instance a
 curriculum generates or loads, and for the tokenizer and the template
 walk, which read each distinct utterance once: `setup_s` pays their
-costs. So the
-functions below hold no nested code object and no cell variable. PEP 709
+costs. The network loader, network_from_text, runs its loop once per
+line of a saved file, and `save_load_ms` pays for it. So the functions
+below hold no nested code object and no cell variable. PEP 709
 inlines list, dict and set comprehensions from 3.12 on, which makes this
 test moot there; it still runs on every version.
 """
@@ -34,6 +35,7 @@ HOT_PATH = (
     learner.ObservationReport.__init__,
     graph.ConceptNetwork.get,
     graph.ConceptNetwork.write,
+    graph.network_from_text,
     learner.Situation.__new__,
 )
 

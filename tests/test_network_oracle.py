@@ -1,10 +1,11 @@
 """The one-pass network codec against the codec it replaced (tests/network_oracle.py).
 
 Saving must give byte-identical text for any network. Loading must give an
-equal network for any file, or the same NetworkFormatError, with the same
-message and line, for any file either loader rejects. The one exception is
-a second line for an edge an earlier line already gave: the old loader let
-it overwrite the first, and the new one rejects it at that line.
+equal network for any file, with each category's members in name order, or
+the same NetworkFormatError, with the same message and line, for any file
+either loader rejects. The one exception is a second line for an edge an
+earlier line already gave: the old loader let it overwrite the first, and
+the new one rejects it at that line.
 """
 
 import pytest
@@ -12,6 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import network_oracle as old
+from inheritance_oracle import members_scan
 from wugnet.graph import (
     ACTION,
     ATTRIBUTE,
@@ -94,6 +96,8 @@ def test_signed_zero_weights_keep_their_text():
     assert text == old.network_to_text(net)
     assert "edge object/dog is attribute/red -0 generic:0" in text
     assert "edge object/dog is attribute/green 0 generic:0" in text
+    # one parse per weight text: -0 and 0 load as the floats they spell
+    assert network_to_text(network_from_text(text)) == text
 
 
 TOKENS = ("object/", "/dog", "objectdog", "object/ghost", "widget/dog", "object/Dog",
@@ -108,13 +112,13 @@ def mutated_files(draw):
     if draw(st.integers(0, 9)) == 0:
         del lines[0]
     for _ in range(draw(st.integers(1, 4))):
-        op = draw(st.sampled_from(["field", "field", "duplicate", "delete", "comment",
-                                   "blank", "tab", "drop-field", "add-field"]))
+        op = draw(st.sampled_from(["field", "field", "duplicate", "move", "respell", "delete",
+                                   "comment", "blank", "tab", "drop-field", "add-field"]))
         if not lines:
             lines.append(draw(st.sampled_from(["conceptnet v1", "", "node object dog"])))
             continue
         edge_lines = [k for k, line in enumerate(lines) if line.startswith("edge")]
-        if edge_lines and draw(st.booleans()):
+        if edge_lines and (op in ("move", "respell") or draw(st.booleans())):
             i = draw(st.sampled_from(edge_lines))
         else:
             i = draw(st.integers(min(1, len(lines) - 1), len(lines) - 1))
@@ -125,6 +129,15 @@ def mutated_files(draw):
             lines[i] = " ".join(fields)
         elif op == "duplicate":
             lines.insert(draw(st.integers(0, len(lines))), lines[i])
+        elif op == "move":
+            # among the edge lines, so one source's lines can split around another's
+            line = lines.pop(i)
+            lines.insert(draw(st.integers(edge_lines[0] if edge_lines else 0, len(lines))), line)
+        elif op == "respell":
+            respelled = _respellings(fields[4]) if len(fields) == 6 else []
+            if respelled:
+                fields[4] = draw(st.sampled_from(respelled))
+                lines[i] = " ".join(fields)
         elif op == "delete":
             del lines[i]
         elif op == "comment":
@@ -140,6 +153,16 @@ def mutated_files(draw):
             fields.insert(j, draw(st.sampled_from(TOKENS)))
             lines[i] = " ".join(fields)
     return "\n".join(lines) + draw(st.sampled_from(["\n", "", "\n\n"]))
+
+
+def _respellings(text):
+    """Other texts float() reads as text's float: 1 as 1.0, 0.5 as 5e-01, -0 as -0.0."""
+    try:
+        weight = float(text)
+    except ValueError:
+        return []
+    spellings = {repr(weight), f"{weight:.0e}", f"{weight:.17e}", f"{weight:.17E}"}
+    return sorted(s for s in spellings - {text} if repr(float(s)) == repr(weight))
 
 
 def _load(loader, text):
@@ -177,6 +200,10 @@ def test_mutated_files_load_or_fail_the_same_under_both_loaders(text):
     if new_kind == "loaded":
         assert new == was
         assert network_to_text(new) == old.network_to_text(was)
+        # equality compares edges only, so the member lists are checked on their own
+        for category in new.concepts():
+            if category.kind == CATEGORY:
+                assert new.members_of(category) == members_scan(new, category)
     else:
         assert new == was
         assert new[1] is not None
@@ -208,6 +235,16 @@ edge object/hen is category/animal -0 generic:0
     ("0.35999999999999999", "abc"),
     ("0.35999999999999999 generic:0", "0.35999999999999999 generic:1"),
     ("1 generic:1", "1 generic:2"),
+    # other spellings of the same weights
+    ("1 generic:1", "1.0 generic:1"),
+    ("-0 generic:0", "-0.0 generic:0"),
+    ("0.35999999999999999", "0.36"),
+    ("0.35999999999999999", "3.59999999999999987e-01"),
+    # dog's edge lines split around hen's
+    ("edge object/dog is category/animal 1 generic:1\n"
+     "edge object/hen is category/animal -0 generic:0",
+     "edge object/hen is category/animal -0 generic:0\n"
+     "edge object/dog is category/animal 1 generic:1"),
     ("1 generic:1", "1"),
     ("node object hen", "node object hen\nnode object hen"),
     ("node object hen", "node widget hen"),
