@@ -20,7 +20,10 @@ down the rows of its weight block: accumulate is defined as
 r[i] = r[i-1] + a[i], the same adds in the same order. Never the builtin sum()
 (compensated for floats since CPython 3.12), math.fsum, or np.sum /
 np.add.reduce, which add a contiguous axis pairwise and so round
-differently. numpy is imported only by the fold's code, so a process whose
+differently. The block keeps each row's running column totals, and a read
+refolds only from the first row that changed since the last one, onto
+the kept total of the row before it: the same adds again, so the same
+bits. numpy is imported only by the fold's code, so a process whose
 categories stay below FOLD_MIN_MEMBERS members never loads it.
 """
 
@@ -41,6 +44,7 @@ ATTRIBUTE = "attribute"
 ACTION = "action"
 CATEGORY = "category"
 KINDS = (OBJECT, ATTRIBUTE, ACTION, CATEGORY)
+_SORTED_KINDS = tuple(sorted(KINDS))  # the order named() lists one name's concepts in
 
 SLOT1 = "slot-1"
 SLOT2 = "slot-2"
@@ -126,34 +130,53 @@ _member_order = itemgetter(1, 0)
 
 
 class _Fold:
-    """One category's member weights as a float64 block.
+    """One category's member weights as a float64 block, with running column totals.
 
     keys lists the members as (name, kind), in members_of order; columns
-    maps each (target, label) to its column index. block[1 + i, j] is
-    member i's weight on column j's edge, 0.0 without one. Row 0 is all
-    +0.0: it is the fold's start value, so a column of members' -0.0 still
-    totals +0.0, as the Python fold from 0.0 does. The block keeps spare
-    rows past row len(keys), so a joining member's row is made by moving
-    the rows after it down in place. dirty holds the members written since
-    their rows were last read from the graph, new members included.
+    maps each (target, label) to its column index, and order lists each
+    column as (target, label, index), sorted by (target, label): it is
+    rebuilt only when a column joins. block[1 + i, j] is member i's weight
+    on column j's edge, 0.0 without one. Row 0 is all +0.0: it is the
+    fold's start value, so a column of members' -0.0 still totals +0.0, as
+    the Python fold from 0.0 does. The block keeps spare rows past row
+    len(keys), so a joining member's row is made by moving the rows after
+    it down in place. dirty holds the members written since their rows
+    were last read from the graph, new members included.
+
+    acc has the block's shape: acc[k] is the left fold of block rows
+    0..k, so acc[len(keys)] holds the category's totals. stale is the
+    first row whose total is out of date; the rows before it have not
+    changed since their totals were folded.
     """
 
-    __slots__ = ("keys", "columns", "block", "dirty")
+    __slots__ = ("keys", "columns", "order", "block", "acc", "stale", "dirty")
 
     def __init__(self, members: list[Concept]):
         import numpy as np
 
         self.keys: list[tuple[str, str]] = []
         self.columns: dict[tuple[Concept, str], int] = {}
+        self.order: list[tuple[Concept, str, int]] = []
         self.block = np.zeros((1, 0))
+        self.acc = np.zeros((1, 0))
+        self.stale = 1
         self.dirty: set[Concept] = set(members)
 
 
-def _fold_totals(block: np.ndarray) -> list[float]:
-    """Each column's left fold down the rows: ((b[0] + b[1]) + b[2]) + ... + b[-1]."""
+def _refold(block: np.ndarray, acc: np.ndarray, stale: int, end: int) -> None:
+    """Set acc[k] = acc[k - 1] + block[k] for k in stale..end-1, from the kept acc[stale - 1].
+
+    These are the adds a fold of block[:end] from its start row makes for
+    those rows, in the same order, so acc[end - 1] is each column's left
+    fold ((b[0] + b[1]) + b[2]) + ... + b[end - 1], bit for bit.
+    accumulate writes its output over its own input: the kept total, then
+    the rows.
+    """
     import numpy as np
 
-    return np.add.accumulate(block, axis=0)[-1].tolist()
+    run = acc[stale - 1:end]
+    run[1:] = block[stale:end]
+    np.add.accumulate(run, axis=0, out=run)
 
 
 class ConceptNetwork:
@@ -221,7 +244,12 @@ class ConceptNetwork:
 
     def named(self, name: str) -> list[Concept]:
         """All concepts with this name, across kinds, sorted by kind."""
-        return sorted(node for kind in KINDS if (node := self._nodes.get((kind, name))))
+        nodes, out = self._nodes, []
+        for kind in _SORTED_KINDS:
+            node = nodes.get((kind, name))
+            if node is not None:
+                out.append(node)
+        return out
 
     def concepts(self) -> list[Concept]:
         return sorted(self._nodes.values())
@@ -358,11 +386,13 @@ class ConceptNetwork:
 
         Below FOLD_MIN_MEMBERS members a loop over the members' out-edges
         adds them up. From then on the weights come from the category's
-        _Fold block, and each read folds every column down its rows with
-        _fold_totals, O(members x keys) adds inside numpy: the same left
-        fold, from the block's +0.0 start row. A member without the edge
-        holds 0.0 there: the start row keeps every total from being -0.0,
-        and adding 0.0 to it leaves every bit as it was.
+        _Fold block, and the totals are the running totals of its last
+        row: the same left fold, from the block's +0.0 start row. A read
+        refolds only the rows from the fold's stale row on, onto the kept
+        total of the row before it, so it costs O((members - stale) x
+        keys) adds inside numpy; the first read folds every row. A member
+        without the edge holds 0.0 there: the start row keeps every total
+        from being -0.0, and adding 0.0 to it leaves every bit as it was.
         """
         members = self._member_list(category)
         n = len(members)
@@ -373,9 +403,11 @@ class ConceptNetwork:
                 self._member_folds.setdefault(member, []).append(fold)
         if fold is not None:
             self._read_rows(fold)
-            totals = _fold_totals(fold.block[:n + 1])
-            return [(target, label, totals[j] / n)
-                    for (target, label), j in sorted(fold.columns.items())]
+            if fold.stale <= n:
+                _refold(fold.block, fold.acc, fold.stale, n + 1)
+                fold.stale = n + 1
+            totals = fold.acc[n].tolist()
+            return [(target, label, totals[j] / n) for target, label, j in fold.order]
         totals: dict[tuple[Concept, str], float] = {}
         for member in members:
             for key, weight in self._out[member].items():
@@ -385,14 +417,19 @@ class ConceptNetwork:
     def _read_rows(self, fold: _Fold) -> None:
         """Bring the fold's dirty rows up to date from the members' out-edges.
 
-        One bisect of fold.keys finds each dirty member's row. Members not
-        yet in the fold get rows of 0.0 at their members_of positions: one
-        pass from the end moves each run of rows between two joining
-        positions down, inside the block's spare rows, by the number of
-        members joining before it, in one overlapping slice assignment.
-        (target, label) keys new to the fold get columns of 0.0 at the
-        right. Edges are never removed, so writing a member's weights into
-        its row sets it.
+        One bisect of fold.keys finds each dirty member's row, and the
+        fold's stale row falls to the first of them. Members not yet in
+        the fold get rows of 0.0 at their members_of positions: one pass
+        from the end moves each run of rows between two joining positions
+        down, inside the block's spare rows, by the number of members
+        joining before it, in one overlapping slice assignment. Every
+        moved row is at or past the stale row, whose totals the next read
+        refolds, so acc is not moved. (target, label) keys new to the fold
+        get columns of 0.0 at the right, in both arrays, and the sorted
+        column order is rebuilt. Only dirty rows hold a new key, so the
+        kept totals of the rows before the stale row are 0.0 there, as a
+        fold of those rows makes them. Edges are never removed, so writing
+        a member's weights into its row sets it.
         """
         import numpy as np
 
@@ -408,11 +445,17 @@ class ConceptNetwork:
                 keys.insert(i, key)
                 joining.append(i - len(joining))
             rows.append(1 + i)
-        for key in dict.fromkeys(key for member in dirty for key in out[member]):
-            if key not in columns:
-                columns[key] = len(columns)
+        if rows and rows[0] < fold.stale:
+            fold.stale = rows[0]
+        width = len(columns)
+        for member in dirty:
+            for key in out[member]:
+                if key not in columns:
+                    columns[key] = len(columns)
+        if len(columns) != width:
+            fold.order = sorted((target, label, j) for (target, label), j in columns.items())
         block = fold.block
-        height, width = block.shape
+        height = len(block)
         if len(keys) >= height:
             # twice the rows it needs, so members joining one at a time
             # copy each row O(1) times on average
@@ -421,6 +464,9 @@ class ConceptNetwork:
             fold.block = np.zeros((height, len(columns)))
             fold.block[:len(block), :width] = block
             block = fold.block
+            acc = np.zeros((height, len(columns)))
+            acc[:fold.stale, :width] = fold.acc[:fold.stale]
+            fold.acc = acc
         end = len(keys) - len(joining)
         for t in range(len(joining) - 1, -1, -1):
             i = joining[t]

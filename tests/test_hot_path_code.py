@@ -34,6 +34,7 @@ HOT_PATH = (
     lang._det_np,
     learner.ObservationReport.__init__,
     graph.ConceptNetwork.get,
+    graph.ConceptNetwork.named,
     graph.ConceptNetwork.write,
     graph.network_from_text,
     learner.Situation.__new__,

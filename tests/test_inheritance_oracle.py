@@ -25,7 +25,7 @@ from wugnet.graph import (
     SLOT1,
     SLOT2,
     ConceptNetwork,
-    _fold_totals,
+    _refold,
     network_from_text,
     network_to_text,
 )
@@ -232,6 +232,11 @@ def _edge_block(rows, cols, seed, cells, filled) -> np.ndarray:
     return np.vstack((np.zeros((1, cols)), weights))
 
 
+def _fold_totals(block: np.ndarray) -> list[float]:
+    """Each column's left fold down the whole block, in one np.add.accumulate."""
+    return np.add.accumulate(block, axis=0)[-1].tolist()
+
+
 def _assert_left_folds(totals: list[float], block: np.ndarray) -> None:
     assert len(totals) == block.shape[1]
     for total, column in zip(totals, block[1:].T.tolist()):
@@ -250,6 +255,28 @@ def test_fold_totals_are_the_left_fold_of_each_column(rows, cols, seed, cells, f
     # np.add.reduce, which sums the 3001-row single column pairwise.
     block = _edge_block(rows, cols, seed, cells, filled)
     _assert_left_folds(_fold_totals(block), block)
+
+
+@settings(max_examples=60, deadline=None)
+@given(**BLOCKS, stale=st.integers(1, 3000))
+@example(rows=3000, cols=1, seed=0, cells=[], filled=[(0, 0.1)], stale=1500)
+@example(rows=1, cols=1, seed=0, cells=[], filled=[(0, -0.0)], stale=1)
+def test_refolding_from_a_stale_row_continues_the_left_fold(rows, cols, seed, cells, filled,
+                                                            stale):
+    # What member_average rests on when it refolds from its stale row:
+    # np.add.accumulate, writing over its own input (the kept total of the
+    # row before, then the rewritten rows), makes the adds a fold of the
+    # whole block makes, bit for bit. Totals past the kept one are never read.
+    stale = 1 + (stale - 1) % rows
+    block = _edge_block(rows, cols, seed, cells, filled)
+    acc = np.zeros_like(block)
+    _refold(block, acc, 1, len(block))
+    block[stale:] = _edge_block(rows, cols, seed + 1, cells[::-1], filled)[stale:]
+    acc[stale:] = np.nan
+    _refold(block, acc, stale, len(block))
+    assert [total.hex() for total in acc[-1].tolist()] == [
+        total.hex() for total in _fold_totals(block)]
+    assert acc.tobytes() == np.add.accumulate(block, axis=0).tobytes()
 
 
 def test_a_folded_column_of_negative_zeros_averages_to_positive_zero():
@@ -304,4 +331,20 @@ def test_fold_rows_follow_joins_new_columns_and_later_writes():
     before = net.member_average(herd)
     net.write(net.require(FOLD_NAMES[7], OBJECT), red, IS, None, False)
     assert net.member_average(herd) != before
+    _assert_averages_match(net)
+    # a write to the first member, then one to the last: refolds from row 1, then row n
+    members = net.members_of(herd)
+    for member in (members[0], members[-1]):
+        before = net.member_average(herd)
+        net.write(member, red, IS, rng.random(), False)
+        assert net.member_average(herd) != before
+        _assert_averages_match(net)
+    # two reads with nothing written between them read the kept totals
+    first, second = net.member_average(herd), net.member_average(herd)
+    assert first == second
+    assert repr(first) == repr(second)
+    # a column that sorts before every other joins after the column order was kept
+    amble = net.add_concept("amble", ACTION)
+    net.write(members[len(members) // 2], amble, SLOT1, rng.random(), False)
+    assert net.member_average(herd)[0][:2] == (amble, SLOT1)
     _assert_averages_match(net)

@@ -1,7 +1,7 @@
 """Record a parent and a change measured in one session: BENCH_<pr>.json.
 
     python tools/bench_record.py --parent REV [--pairs 10] [--seconds 30] [--seed 0] \
-        [--workloads paper,novel-members,concept-space] --out BENCH_<pr>.json
+        [--workloads paper,novel-members,concept-space] [--probe-runs 6] --out BENCH_<pr>.json
     python tools/bench_record.py --compare A.json B.json
 
 The change is this checkout's working tree: HEAD plus any uncommitted
@@ -20,10 +20,19 @@ the metric's bound. One `--trace 1` round per side and workload gives the
 per-layer metrics. The environment (both shas, Python, numpy and its BLAS,
 nproc, load average at start and end) leads the file.
 
-Exits 1 if any run, traced or not, does not read `correct`.
+Under `probes` the file holds scale figures perfbench does not measure.
+`novel_members_3000_generics_s` is the wall time of 3000 novel-member
+generics taught after the 1000-noun curriculum (perfbench's novel-members
+inputs at the run's seed, with 3000 generics in place of 1000), each in
+its own process; `--probe-runs` processes per side, alternating sides,
+after the pairs. It holds each side's minimum, median and times, the
+ratio of the medians, and each side's sha256 of the final network text.
+
+Exits 1 if any run, traced or not, does not read `correct`, or a probe
+process fails.
 
 `--compare A B` prints, per workload and metric, each file's ratio and the
-ratio of B's change median to A's.
+ratio of B's change median to A's, and the same for each probe.
 """
 
 from __future__ import annotations
@@ -45,6 +54,22 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 WORKLOADS = ("paper", "novel-members", "concept-space")
 SIDES = ("parent", "change")
+PROBE = "novel_members_3000_generics_s"
+# One probe process: argv[1] is the seed. Learning the curriculum is not timed.
+_PROBE_CODE = """
+import hashlib, json, sys, time
+import synth
+from wugnet import graph, learner
+lexicon, curriculum, generics = synth.novel_members_inputs(int(sys.argv[1]), 1000, 3000)
+net = graph.ConceptNetwork()
+learner.learn_curriculum(net, curriculum, lexicon)
+start = time.perf_counter()
+for instance in generics:
+    learner.observe(net, instance, lexicon)
+seconds = time.perf_counter() - start
+text = graph.network_to_text(net)
+print(json.dumps({"seconds": seconds, "sha256": hashlib.sha256(text.encode()).hexdigest()}))
+"""
 
 
 def _git(*args: str) -> str:
@@ -69,6 +94,36 @@ def _run(checkout: Path, workload: str, seed: int, seconds: float, trace: int) -
         return {"correct": False, "error": f"exit {proc.returncode}", "metrics": {}}
     result["metrics"] = {name: m["value"] for name, m in result["metrics"].items()}
     return result
+
+
+def _probe(checkout: Path, seed: int) -> dict | None:
+    """One generics probe process of a checkout; its seconds and network sha256, or None."""
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        str(checkout / d) for d in ("src", "perfbench"))}
+    proc = subprocess.run([sys.executable, "-c", _PROBE_CODE, str(seed)], cwd=checkout,
+                          env=env, capture_output=True, text=True)
+    try:
+        result = json.loads(proc.stdout.strip().splitlines()[-1])
+    except (IndexError, ValueError):
+        result = None
+    if proc.returncode != 0 or not isinstance(result, dict):
+        sys.stderr.write(proc.stderr[-2000:])
+        return None
+    return result
+
+
+def summarize_probe(runs: dict[str, list[dict | None]]) -> dict:
+    """Each side's minimum, median, times and network digests, and the ratio of the medians."""
+    out: dict = {"unit": "s", "better": "lower", "runs": len(runs["parent"])}
+    for side in SIDES:
+        values = [run["seconds"] for run in runs[side] if run]
+        out[side] = {"min": min(values, default=None),
+                     "median": statistics.median(values) if values else None,
+                     "values": values,
+                     "sha256": sorted({run["sha256"] for run in runs[side] if run})}
+    parent, change = out["parent"]["median"], out["change"]["median"]
+    out["ratio"] = change / parent if parent and change is not None else None
+    return out
 
 
 def _iqr(values: list[float]) -> float:
@@ -147,6 +202,13 @@ def record(args) -> int:
                 print(f"pair {i + 1}/{args.pairs} {workload}: " + ", ".join(
                     f"{side} {'correct' if pair[side]['correct'] else 'NOT CORRECT'}"
                     for side in order), file=sys.stderr)
+        probes: dict[str, list[dict | None]] = {side: [] for side in SIDES}
+        for i in range(args.probe_runs):
+            for side in (SIDES if i % 2 == 0 else SIDES[::-1]):
+                probes[side].append(_probe(checkouts[side], args.seed))
+            print(f"probe {i + 1}/{args.probe_runs}: " + ", ".join(
+                f"{side} {'ok' if probes[side][-1] else 'FAILED'}" for side in SIDES),
+                file=sys.stderr)
         traces = {w: {side: _run(checkouts[side], w, args.seed, 1, 1) for side in SIDES}
                   for w in workloads}
     finally:
@@ -154,7 +216,8 @@ def record(args) -> int:
 
     runs = [p[side] for w in workloads for p in pairs[w] for side in SIDES]
     runs += [traces[w][side] for w in workloads for side in SIDES]
-    correct = all(run["correct"] is True for run in runs)
+    correct = (all(run["correct"] is True for run in runs)
+               and all(run is not None for side in SIDES for run in probes[side]))
     report = {
         "parent": parent_sha,
         "change": _git("rev-parse", "HEAD"),
@@ -167,6 +230,7 @@ def record(args) -> int:
         "correct": correct,
         "end_to_end": {w: summarize(pairs[w], benchmark["end_to_end"]) for w in workloads},
         "pairs": pairs,
+        "probes": {PROBE: summarize_probe(probes)} if args.probe_runs else {},
         "per_layer": traces,
     }
     Path(args.out).write_text(json.dumps(report, indent=1) + "\n", encoding="utf-8")
@@ -190,6 +254,15 @@ def compare(a_path: str, b_path: str) -> int:
                      _fmt(m["ratio"]), m["wins"], _fmt(cross)]
             print(f"{workload:14s} {name:22s} {cells[0]:>9s} {cells[1]:>7s} "
                   f"{cells[2]:>9s} {cells[3]:>7s} {cells[4]:>11s}")
+    for name, probe in b.get("probes", {}).items():
+        old = a.get("probes", {}).get(name)
+        old_median, median = old and old["change"]["median"], probe["change"]["median"]
+        cross = median / old_median if old_median and median is not None else None
+        print(f"probe {name}: A ratio {_fmt(old and old['ratio'])}, "
+              f"B ratio {_fmt(probe['ratio'])}, B/A change {_fmt(cross)}")
+        for side in SIDES:
+            print(f"  B {side:6s} min {_fmt(probe[side]['min'])} s, "
+                  f"median {_fmt(probe[side]['median'])} s over {len(probe[side]['values'])} runs")
     return 0
 
 
@@ -205,12 +278,15 @@ def main(argv=None) -> int:
     ap.add_argument("--seconds", type=float, default=30)
     ap.add_argument("--seed", type=int, default=0)
     ap.add_argument("--workloads", default=",".join(WORKLOADS))
+    ap.add_argument("--probe-runs", type=int, default=6,
+                    help=f"{PROBE} processes per side (0 skips the probe)")
     ap.add_argument("--out")
     args = ap.parse_args(argv)
     if args.compare:
         return compare(*args.compare)
-    if not (args.parent and args.out) or args.pairs < 1:
-        ap.error("--parent and --out are required, and --pairs must be at least 1")
+    if not (args.parent and args.out) or args.pairs < 1 or args.probe_runs < 0:
+        ap.error("--parent and --out are required, --pairs must be at least 1 "
+                 "and --probe-runs at least 0")
     if unknown := set(args.workloads.split(",")) - set(WORKLOADS):
         ap.error(f"unknown workloads: {', '.join(sorted(unknown))}")
     return record(args)
