@@ -144,12 +144,13 @@ class _Fold:
     were last read from the graph, new members included.
 
     acc has the block's shape: acc[k] is the left fold of block rows
-    0..k, so acc[len(keys)] holds the category's totals. stale is the
-    first row whose total is out of date; the rows before it have not
-    changed since their totals were folded.
+    0..k, so acc[len(keys)] holds the category's totals once a read has
+    refolded them. A read's stale row is the first row whose total is out
+    of date: the first dirty or joining member's row, as _read_rows finds
+    it. The rows before it have not changed since their totals were folded.
     """
 
-    __slots__ = ("keys", "columns", "order", "block", "acc", "stale", "dirty")
+    __slots__ = ("keys", "columns", "order", "block", "acc", "dirty")
 
     def __init__(self, members: list[Concept]):
         import numpy as np
@@ -159,7 +160,6 @@ class _Fold:
         self.order: list[tuple[Concept, str, int]] = []
         self.block = np.zeros((1, 0))
         self.acc = np.zeros((1, 0))
-        self.stale = 1
         self.dirty: set[Concept] = set(members)
 
 
@@ -388,9 +388,10 @@ class ConceptNetwork:
         adds them up. From then on the weights come from the category's
         _Fold block, and the totals are the running totals of its last
         row: the same left fold, from the block's +0.0 start row. A read
-        refolds only the rows from the fold's stale row on, onto the kept
-        total of the row before it, so it costs O((members - stale) x
-        keys) adds inside numpy; the first read folds every row. A member
+        refolds only the rows from the stale row _read_rows returns on,
+        onto the kept total of the row before it, so it costs
+        O((members - stale) x keys) adds inside numpy; the first read
+        folds every row. A member
         without the edge holds 0.0 there: the start row keeps every total
         from being -0.0, and adding 0.0 to it leaves every bit as it was.
         """
@@ -402,10 +403,9 @@ class ConceptNetwork:
             for member in members:
                 self._member_folds.setdefault(member, []).append(fold)
         if fold is not None:
-            self._read_rows(fold)
-            if fold.stale <= n:
-                _refold(fold.block, fold.acc, fold.stale, n + 1)
-                fold.stale = n + 1
+            stale = self._read_rows(fold)
+            if stale <= n:
+                _refold(fold.block, fold.acc, stale, n + 1)
             totals = fold.acc[n].tolist()
             return [(target, label, totals[j] / n) for target, label, j in fold.order]
         totals: dict[tuple[Concept, str], float] = {}
@@ -414,17 +414,19 @@ class ConceptNetwork:
                 totals[key] = totals.get(key, 0.0) + weight
         return [(target, label, totals[(target, label)] / n) for target, label in sorted(totals)]
 
-    def _read_rows(self, fold: _Fold) -> None:
-        """Bring the fold's dirty rows up to date from the members' out-edges.
+    def _read_rows(self, fold: _Fold) -> int:
+        """Bring the fold's dirty rows up to date; return the first changed row.
 
-        One bisect of fold.keys finds each dirty member's row, and the
-        fold's stale row falls to the first of them. Members not yet in
+        One bisect of fold.keys finds each dirty member's row; the first of
+        them is the stale row returned, len(keys) + 1 when nothing was
+        dirty. Every row before it, and its running total, is as the last
+        read left it, since that read refolded every row. Members not yet in
         the fold get rows of 0.0 at their members_of positions: one pass
         from the end moves each run of rows between two joining positions
         down, inside the block's spare rows, by the number of members
         joining before it, in one overlapping slice assignment. Every
-        moved row is at or past the stale row, whose totals the next read
-        refolds, so acc is not moved. (target, label) keys new to the fold
+        moved row is at or past the stale row, whose totals member_average
+        then refolds, so acc is not moved. (target, label) keys new to the fold
         get columns of 0.0 at the right, in both arrays, and the sorted
         column order is rebuilt. Only dirty rows hold a new key, so the
         kept totals of the rows before the stale row are 0.0 there, as a
@@ -445,8 +447,7 @@ class ConceptNetwork:
                 keys.insert(i, key)
                 joining.append(i - len(joining))
             rows.append(1 + i)
-        if rows and rows[0] < fold.stale:
-            fold.stale = rows[0]
+        stale = rows[0] if rows else len(keys) + 1
         width = len(columns)
         for member in dirty:
             for key in out[member]:
@@ -465,7 +466,7 @@ class ConceptNetwork:
             fold.block[:len(block), :width] = block
             block = fold.block
             acc = np.zeros((height, len(columns)))
-            acc[:fold.stale, :width] = fold.acc[:fold.stale]
+            acc[:stale, :width] = fold.acc[:stale]
             fold.acc = acc
         end = len(keys) - len(joining)
         for t in range(len(joining) - 1, -1, -1):
@@ -477,6 +478,7 @@ class ConceptNetwork:
             row = block[k]
             for key, weight in out[member].items():
                 row[columns[key]] = weight
+        return stale
 
     # -- whole-network helpers ------------------------------------------
 

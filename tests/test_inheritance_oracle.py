@@ -274,8 +274,6 @@ def test_refolding_from_a_stale_row_continues_the_left_fold(rows, cols, seed, ce
     block[stale:] = _edge_block(rows, cols, seed + 1, cells[::-1], filled)[stale:]
     acc[stale:] = np.nan
     _refold(block, acc, stale, len(block))
-    assert [total.hex() for total in acc[-1].tolist()] == [
-        total.hex() for total in _fold_totals(block)]
     assert acc.tobytes() == np.add.accumulate(block, axis=0).tobytes()
 
 

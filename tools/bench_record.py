@@ -1,7 +1,7 @@
 """Record a parent and a change measured in one session: BENCH_<pr>.json.
 
     python tools/bench_record.py --parent REV [--pairs 10] [--seconds 30] [--seed 0] \
-        [--workloads paper,novel-members,concept-space] [--probe-runs 6] --out BENCH_<pr>.json
+        [--workloads paper,novel-members,concept-space] --out BENCH_<pr>.json
     python tools/bench_record.py --compare A.json B.json
 
 The change is this checkout's working tree: HEAD plus any uncommitted
@@ -24,8 +24,8 @@ Under `probes` the file holds scale figures perfbench does not measure.
 `novel_members_3000_generics_s` is the wall time of 3000 novel-member
 generics taught after the 1000-noun curriculum (perfbench's novel-members
 inputs at the run's seed, with 3000 generics in place of 1000), each in
-its own process; `--probe-runs` processes per side, alternating sides,
-after the pairs. It holds each side's minimum, median and times, the
+its own process; one process per side for each pair, alternating which
+side goes first, after the pairs. It holds each side's minimum, median and times, the
 ratio of the medians, and each side's sha256 of the final network text.
 
 Exits 1 if any run, traced or not, does not read `correct`, or a probe
@@ -56,6 +56,8 @@ WORKLOADS = ("paper", "novel-members", "concept-space")
 SIDES = ("parent", "change")
 PROBE = "novel_members_3000_generics_s"
 # One probe process: argv[1] is the seed. Learning the curriculum is not timed.
+# The same inputs, timed span and digest as the CI step "Cluster the 4045-row
+# novel-members network" in .github/workflows/tests.yml: change both together.
 _PROBE_CODE = """
 import hashlib, json, sys, time
 import synth
@@ -203,10 +205,10 @@ def record(args) -> int:
                     f"{side} {'correct' if pair[side]['correct'] else 'NOT CORRECT'}"
                     for side in order), file=sys.stderr)
         probes: dict[str, list[dict | None]] = {side: [] for side in SIDES}
-        for i in range(args.probe_runs):
+        for i in range(args.pairs):
             for side in (SIDES if i % 2 == 0 else SIDES[::-1]):
                 probes[side].append(_probe(checkouts[side], args.seed))
-            print(f"probe {i + 1}/{args.probe_runs}: " + ", ".join(
+            print(f"probe {i + 1}/{args.pairs}: " + ", ".join(
                 f"{side} {'ok' if probes[side][-1] else 'FAILED'}" for side in SIDES),
                 file=sys.stderr)
         traces = {w: {side: _run(checkouts[side], w, args.seed, 1, 1) for side in SIDES}
@@ -230,7 +232,7 @@ def record(args) -> int:
         "correct": correct,
         "end_to_end": {w: summarize(pairs[w], benchmark["end_to_end"]) for w in workloads},
         "pairs": pairs,
-        "probes": {PROBE: summarize_probe(probes)} if args.probe_runs else {},
+        "probes": {PROBE: summarize_probe(probes)},
         "per_layer": traces,
     }
     Path(args.out).write_text(json.dumps(report, indent=1) + "\n", encoding="utf-8")
@@ -278,15 +280,12 @@ def main(argv=None) -> int:
     ap.add_argument("--seconds", type=float, default=30)
     ap.add_argument("--seed", type=int, default=0)
     ap.add_argument("--workloads", default=",".join(WORKLOADS))
-    ap.add_argument("--probe-runs", type=int, default=6,
-                    help=f"{PROBE} processes per side (0 skips the probe)")
     ap.add_argument("--out")
     args = ap.parse_args(argv)
     if args.compare:
         return compare(*args.compare)
-    if not (args.parent and args.out) or args.pairs < 1 or args.probe_runs < 0:
-        ap.error("--parent and --out are required, --pairs must be at least 1 "
-                 "and --probe-runs at least 0")
+    if not (args.parent and args.out) or args.pairs < 1:
+        ap.error("--parent and --out are required, and --pairs must be at least 1")
     if unknown := set(args.workloads.split(",")) - set(WORKLOADS):
         ap.error(f"unknown workloads: {', '.join(sorted(unknown))}")
     return record(args)
