@@ -55,17 +55,20 @@ LEARNING_RATE = 0.2
 
 # member_average keeps a category's member weights in a block (a _Fold)
 # once it has this many members, and loops over the members' out-edges
-# below it. Measured per call with one new member (5 edges, 12 columns)
-# joining at a random name position since the last call, median of 150
-# calls, loop and fold interleaved, on a shared 2-core Xeon, Python
-# 3.11.7, numpy 2.4.6 (members: plain loop vs fold): 8: 27.4 vs 39.3 us;
-# 16: 39.8 vs 41.3 us; 24: 55.9 vs 43.3 us; 32: 69.7 vs 37.6 us; 128:
-# 244 vs 47 us; 1000: 2366 vs 154 us. The host was shared and absolute
-# times moved by up to 1.6x from run to run; the crossover did not. The
-# fold's fixed cost (about 40 us a call here) dominates below a few
-# hundred members, so the crossover sits near 16-24 members. The paper's
-# categories have 3-7 members and are averaged a few times each; the
-# scaled novel-members categories have 336-673 members.
+# below it. Measured as one read after one join: fresh networks of n - 1
+# members with 5 edges each over 12 columns, one read, one member joining
+# at a random name position, then the timed read; median of 150 networks,
+# loop and fold interleaved, on a shared 2-core Xeon, Python 3.11.7,
+# numpy 2.4.6 (members: plain loop vs fold): 8: 13.3 vs 13.7 us; 16: 19.0
+# vs 14.2 us; 24: 24.5 vs 14.6 us; 32: 42.2 vs 20.5 us; 64: 51.6 vs 16.3
+# us; 128: 94.1 vs 19.3 us. A second run read 19.5 vs 18.6 us at 8 and
+# 14.0 vs 27.7 us at 4. A read that refolds from one joining row costs
+# the fold about 15-20 us at these sizes, so the crossover sits near 8
+# members. The threshold stays above it: no workload has categories of
+# 10-31 members, so any value from 10 to 32 runs the same code, and at 9
+# or less the fold, and numpy with it, would run for the paper's own
+# categories of 3-7 members. The scaled novel-members categories have
+# 336-673 members.
 FOLD_MIN_MEMBERS = 32
 
 # a concept name, and so every lexicon word and lemma (lang reads it from here)

@@ -223,29 +223,44 @@ def _cosine_distances(weights: np.ndarray) -> np.ndarray:
     return dist
 
 
+# agglomerative_order merges on the distance array (_array_merges) at this
+# many rows or more, and on Python lists (_list_merges) below it. Measured
+# on row subsets of perfbench's concept-space matrix (seed 0), each loop
+# timed alone from the same start, median of 100 interleaved calls, on a
+# shared 2-core Xeon, Python 3.11.7, numpy 2.4.6 (rows: array vs list):
+# 48: 1.07 vs 0.62 ms; 64: 1.53 vs 1.14 ms; 80: 1.93 vs 1.65 ms; 96: 2.33
+# vs 2.39 ms; 112: 2.67 vs 3.20 ms; 128: 3.01 vs 3.97 ms; 267: 7.09 vs
+# 18.9 ms. The test suite's tied matrices cross at the same place (96
+# rows: 2.36 vs 2.25 ms; 112: 2.67 vs 3.05 ms). The array loop pays some
+# 30 numpy calls per merge on short vectors; the list loop pays Python
+# bytecode per active row, so it loses past about 100 rows. The paper's
+# matrices have 30-45 rows; perfbench's concept-space has 267.
+ARRAY_MERGE_MIN_ROWS = 100
+
+
 def agglomerative_order(matrix: ConceptMatrix) -> tuple[list[Concept], ClusterNode | None]:
     """Average-linkage clustering over cosine distance (1 - similarity).
 
     Returns the leaf order for heatmap rendering plus the merge tree.
 
-    Exact greedy algorithm on one dense n x n float64 distance array
-    (O(n^2) memory): every merge joins the globally closest pair of active
-    clusters, and the merged row is the Lance-Williams average
-    (sa*d(a,k) + sb*d(b,k)) / (sa+sb). Initial distances are
-    1 - cosine_similarity(row i, row j) bit for bit.
-
-    As in Müllner's generic linkage (arXiv 1109.2378), each active row
-    keeps its exact minimum and a nearest neighbour nn, a column that
-    holds it. A merge of a and b finds the global minimum and its tied
-    rows in O(n) and writes row and column a. A row whose nn was neither
-    a nor b still holds its minimum there; any row whose new value in
-    column a is no larger than its minimum takes that value with nn = a;
-    only the rows whose nn was a or b and whose value in column a grew
-    are rescanned. Rows that merely tie with a merged column are not.
-    Column b is not cleared: the reads that could meet it mask the
-    merged-away slots, and once half of the array's slots are merged
-    away the active ones are copied to the front of the same buffer, so
-    the per-merge work follows the number of active clusters.
+    Exact greedy algorithm: every merge joins the globally closest pair of
+    active clusters, and the merged row is the Lance-Williams average
+    (d(a,k)*sa + d(b,k)*sb) / (sa+sb). _merge_start gives both merge loops
+    their start: the initial distances, which come from _cosine_distances
+    alone (1 - cosine_similarity(row i, row j) bit for bit), with an inf
+    diagonal, and each row's name rank. Two loops then make the same
+    merges from it, chosen by row count:
+      - _array_merges, on the dense n x n float64 array (O(n^2) memory),
+        at ARRAY_MERGE_MIN_ROWS rows or more;
+      - _list_merges, on Python lists of Python floats, below it, where
+        numpy's fixed cost per call outweighs the O(n) work of a merge
+        (crossover measured beside the constant).
+    Both follow Müllner's generic linkage (arXiv 1109.2378): each active
+    row keeps its exact minimum and a nearest neighbour nn, a column that
+    holds it, and after a merge only the rows whose nn was a merged column
+    and whose value in the new column grew are rescanned. Python floats
+    and numpy's elementwise ufuncs do the same IEEE operations, so the two
+    loops give the same distances, heights and tree, bit for bit.
 
     Ties are broken in full, so the order is deterministic:
       1. among pairs at the minimum distance, take the smallest
@@ -261,9 +276,9 @@ def agglomerative_order(matrix: ConceptMatrix) -> tuple[list[Concept], ClusterNo
     never nn, so which tied column nn names changes nothing.
 
     tests/clustering_oracle.py keeps the original dict-of-pairs version
-    and the cached-minimum version this one replaced; this one reproduces
-    their merge order, their heights and their tree bit for bit. A
-    nearest-neighbour chain would merge in another order, so its
+    and the cached-minimum version the array loop replaced; both loops
+    reproduce their merge order, their heights and their tree bit for
+    bit. A nearest-neighbour chain would merge in another order, so its
     Lance-Williams sums could differ in the last bit.
     """
     n = len(matrix.concepts)
@@ -272,16 +287,46 @@ def agglomerative_order(matrix: ConceptMatrix) -> tuple[list[Concept], ClusterNo
     if n == 1:
         leaf = ClusterNode(0.0, concept=matrix.concepts[0])
         return [matrix.concepts[0]], leaf
+    merges = _array_merges if n >= ARRAY_MERGE_MIN_ROWS else _list_merges
+    root = merges(matrix.concepts, *_merge_start(matrix))
+    return root.leaves(), root
 
+
+def _merge_start(matrix: ConceptMatrix) -> tuple[np.ndarray, list[int]]:
+    """The n x n distances with an inf diagonal, and each row's name rank.
+
+    inf marks a pair that can no longer merge. A name rank is the position
+    of the concept's name among the sorted distinct names, so ranks compare
+    as the names do.
+    """
     dist = _cosine_distances(matrix.weights)
-    np.fill_diagonal(dist, np.inf)  # inf marks a pair that can no longer merge
-    buf = dist.reshape(-1)
+    np.fill_diagonal(dist, np.inf)
     name_rank = {name: r for r, name in enumerate(sorted({c.name for c in matrix.concepts}))}
+    return dist, [name_rank[c.name] for c in matrix.concepts]
+
+
+def _array_merges(concepts: tuple[Concept, ...], dist: np.ndarray,
+                  rank: list[int]) -> ClusterNode:
+    """agglomerative_order's merges on the distance array; returns the root.
+
+    A merge of a and b finds the global minimum and its tied rows in O(n)
+    and writes row and column a. A row whose nn was neither a nor b still
+    holds its minimum there; any row whose new value in column a is no
+    larger than its minimum takes that value with nn = a; only the rows
+    whose nn was a or b and whose value in column a grew are rescanned.
+    Rows that merely tie with a merged column are not. Column b is not
+    cleared: the reads that could meet it mask the merged-away slots, and
+    once half of the array's slots are merged away the active ones are
+    copied to the front of the same buffer, so the per-merge work follows
+    the number of active clusters.
+    """
+    n = len(concepts)
+    buf = dist.reshape(-1)
     # per slot: the rank of the cluster's smallest leaf name, its creation id, size, tree
-    rank = np.array([name_rank[c.name] for c in matrix.concepts])
+    rank = np.array(rank)
     cid = np.arange(n)
     size = [1.0] * n
-    nodes = [ClusterNode(0.0, concept=c) for c in matrix.concepts]
+    nodes = [ClusterNode(0.0, concept=c) for c in concepts]
     # each row's minimum and a column holding it; the minimum is inf once the slot is merged away
     nn = dist.argmin(axis=1)
     rowmin = dist[cid, nn]
@@ -351,8 +396,78 @@ def agglomerative_order(matrix: ConceptMatrix) -> tuple[list[Concept], ClusterNo
         rank[a] = min(rank[a], rank[b])
         cid[a] = next_id
 
-    root = nodes[a]
-    return root.leaves(), root
+    return nodes[a]
+
+
+def _list_merges(concepts: tuple[Concept, ...], dist: np.ndarray,
+                 rank: list[int]) -> ClusterNode:
+    """The same merges as _array_merges on Python lists; returns the root.
+
+    At tens of rows a merge's O(n) work costs less as one Python loop over
+    the active rows, with min() over a row for a rescan, than as numpy
+    calls on short vectors. Each merged distance is computed with the
+    array loop's operations in the same order, and a merged-away slot's
+    column is set to inf in every active row, so min() over a whole row
+    reads only active clusters.
+    """
+    n = len(concepts)
+    dist, rank = dist.tolist(), list(rank)
+    cid, size = list(range(n)), [1.0] * n
+    nodes = [ClusterNode(0.0, concept=c) for c in concepts]
+    rowmin = [min(row) for row in dist]
+    nn = [row.index(v) for row, v in zip(dist, rowmin)]
+    active = list(range(n))
+
+    def creation_order(pair):
+        # leaf pairs in (i, j) order before pairs with a merged cluster, by
+        # the newer and then the older id
+        lo, hi = sorted((cid[pair[0]], cid[pair[1]]))
+        return (True, hi, lo) if hi >= n else (False, lo, hi)
+
+    for next_id in range(n, 2 * n - 1):
+        d = min(rowmin)
+        # every pair at distance d joins two slots whose minimum is d; with
+        # only two such slots, they are each other's minimum
+        if rowmin.count(d) == 2:
+            a = rowmin.index(d)
+            b = rowmin.index(d, a + 1)
+        else:
+            tied = [i for i, v in enumerate(rowmin) if v == d]
+            # the pairs at d of the tied slots with the smallest name, then of
+            # those the pairs whose other slot has the smallest name
+            first = min([rank[i] for i in tied])
+            pairs = [(i, j) for i in tied if rank[i] == first for j in tied if dist[i][j] == d]
+            second = min([rank[j] for _, j in pairs])
+            pairs = [(i, j) for i, j in pairs if rank[j] == second]
+            a, b = pairs[0] if len(pairs) == 1 else min(pairs, key=creation_order)
+        if cid[a] > cid[b]:
+            a, b = b, a
+        left, right = (a, b) if rank[a] <= rank[b] else (b, a)
+        nodes[a] = ClusterNode(d, children=(nodes[left], nodes[right]))
+        sa, sb = size[a], size[b]
+        s = sa + sb
+        row = dist[a]
+        row[b] = rowmin[b] = math.inf
+        active.remove(b)
+        for k in active:
+            if k == a:
+                continue
+            # the Lance-Williams update, written to row and column a; the
+            # array is symmetric, so dk[a] and dk[b] are row a's and row b's
+            dk = dist[k]
+            value = row[k] = dk[a] = (dk[a] * sa + dk[b] * sb) / s
+            dk[b] = math.inf
+            if value <= rowmin[k]:
+                rowmin[k], nn[k] = value, a
+            elif nn[k] == a or nn[k] == b:
+                rowmin[k] = min(dk)
+                nn[k] = dk.index(rowmin[k])
+        rowmin[a] = min(row)
+        nn[a] = row.index(rowmin[a])
+        size[a] = s
+        rank[a] = min(rank[a], rank[b])
+        cid[a] = next_id
+    return nodes[a]
 
 
 def matrix_to_csv(matrix: ConceptMatrix) -> str:

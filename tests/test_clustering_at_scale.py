@@ -1,10 +1,11 @@
-"""The two fast paths of agglomerative_order against their exact references.
+"""The fast paths of agglomerative_order against their exact references.
 
 _cosine_distances must give 1 - cosine_similarity of the C-contiguous
 float64 rows bit for bit, whatever the layout and dtype of its input and
-however its rows fall into blocks, and the row minima with their nearest
-neighbours must keep the oracles' merge order on matrices large enough
-that many rows share their minimum (hypothesis draws at most 30 rows).
+however its rows fall into blocks, and both merge loops, with their row
+minima and nearest neighbours, must keep the oracles' merge order on
+matrices large enough that many rows share their minimum (hypothesis
+draws at most 30 rows) and on both sides of ARRAY_MERGE_MIN_ROWS.
 """
 
 import numpy as np
@@ -12,7 +13,8 @@ import pytest
 
 import clustering_oracle
 from test_clustering_oracle import KINDS, VALUES, assert_same_as_oracle, concept_matrix
-from wugnet.matrix import _BLOCK_ROWS, _cosine_distances, cosine_similarity
+from wugnet import matrix
+from wugnet.matrix import _BLOCK_ROWS, ARRAY_MERGE_MIN_ROWS, _cosine_distances, cosine_similarity
 
 
 def _layouts():
@@ -81,3 +83,12 @@ TIED += [pytest.param(seed, 500, clustering_oracle.cached_minimum_order, id=f"50
 @pytest.mark.parametrize("seed, n, oracle", TIED)
 def test_cached_minima_match_oracle_at_160_rows(seed, n, oracle):
     assert_same_as_oracle(_tied_matrix(seed, n), oracle)
+
+
+@pytest.mark.parametrize("n, other", [(ARRAY_MERGE_MIN_ROWS - 1, "_array_merges"),
+                                      (ARRAY_MERGE_MIN_ROWS, "_list_merges")])
+def test_both_loops_match_on_either_side_of_the_threshold(n, other, monkeypatch):
+    # agglomerative_order must not call the other side's loop; assert_same_as_oracle
+    # still runs both loops directly
+    monkeypatch.setattr(matrix, other, None)
+    assert_same_as_oracle(_tied_matrix(0, n), clustering_oracle.cached_minimum_order)

@@ -1,7 +1,8 @@
-"""agglomerative_order against the dict-of-pairs oracle.
+"""agglomerative_order and both of its merge loops against the dict-of-pairs oracle.
 
 Comparisons are exact: identical clusters_to_text and float == on every
-merge height.
+merge height. agglomerative_order picks one loop by row count, so every
+check also runs each loop directly, whatever the row count.
 """
 
 import numpy as np
@@ -17,7 +18,10 @@ from wugnet.learner import learn_curriculum
 from wugnet.matrix import (
     ConceptMatrix,
     ExpandedColumn,
+    _array_merges,
     _cosine_distances,
+    _list_merges,
+    _merge_start,
     agglomerative_order,
     build_matrix,
     clusters_to_text,
@@ -42,10 +46,15 @@ def merge_heights(tree):
 
 
 def assert_same_as_oracle(m, oracle=clustering_oracle.agglomerative_order):
-    leaves, tree = agglomerative_order(m)
     want_leaves, want_tree = oracle(m)
-    assert clusters_to_text(leaves, tree) == clusters_to_text(want_leaves, want_tree)
-    assert merge_heights(tree) == merge_heights(want_tree)
+    want = clusters_to_text(want_leaves, want_tree), merge_heights(want_tree)
+    results = [agglomerative_order(m)]
+    if len(m.concepts) > 1:  # the loops start at two rows
+        for merges in (_array_merges, _list_merges):
+            root = merges(m.concepts, *_merge_start(m))
+            results.append((root.leaves(), root))
+    for leaves, tree in results:
+        assert (clusters_to_text(leaves, tree), merge_heights(tree)) == want
 
 
 def concept_matrix(concepts, rows, cols=None):

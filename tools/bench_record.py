@@ -20,16 +20,22 @@ the metric's bound. One `--trace 1` round per side and workload gives the
 per-layer metrics. The environment (both shas, Python, numpy and its BLAS,
 nproc, load average at start and end) leads the file.
 
-Under `probes` the file holds scale figures perfbench does not measure.
-`novel_members_3000_generics_s` is the wall time of 3000 novel-member
-generics taught after the 1000-noun curriculum (perfbench's novel-members
-inputs at the run's seed, with 3000 generics in place of 1000), each in
-its own process; one process per side for each pair, alternating which
-side goes first, after the pairs. It holds each side's minimum, median and times, the
-ratio of the medians, and each side's sha256 of the final network text.
+Under `probes` the file holds scale figures perfbench does not measure,
+read from one probe process per side for each pair, alternating which
+side goes first, after the pairs. A probe process teaches 3000
+novel-member generics after the 1000-noun curriculum (perfbench's
+novel-members inputs at the run's seed, with 3000 generics in place of
+1000), then clusters the network's matrix (4045 rows at seed 0):
+  - `novel_members_3000_generics_s`, the generics' wall time, with the
+    sha256 of the final network text;
+  - `clustering_s`, the wall time of `agglomerative_order` alone, with
+    the sha256 of the cluster text;
+  - `clustering_peak_rss_mb`, the process's peak RSS after clustering.
+Each holds each side's minimum, median and values, the ratio of the
+medians, and each side's digests.
 
-Exits 1 if any run, traced or not, does not read `correct`, or a probe
-process fails.
+Exits 1 if any run, traced or not, does not read `correct`, a probe
+process fails, or the two sides' cluster texts differ.
 
 `--compare A B` prints, per workload and metric, each file's ratio and the
 ratio of B's change median to A's, and the same for each probe.
@@ -54,14 +60,20 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 WORKLOADS = ("paper", "novel-members", "concept-space")
 SIDES = ("parent", "change")
-PROBE = "novel_members_3000_generics_s"
+# probe name: (unit, the probe process's value key, its digest key)
+PROBES = {
+    "novel_members_3000_generics_s": ("s", "seconds", "sha256"),
+    "clustering_s": ("s", "cluster_seconds", "cluster_sha256"),
+    "clustering_peak_rss_mb": ("MB", "peak_rss_mb", "cluster_sha256"),
+}
 # One probe process: argv[1] is the seed. Learning the curriculum is not timed.
-# The same inputs, timed span and digest as the CI step "Cluster the 4045-row
-# novel-members network" in .github/workflows/tests.yml: change both together.
+# The same inputs, timed spans, digest and peak RSS as the CI step "Cluster the
+# 4045-row novel-members network" in .github/workflows/tests.yml: change both
+# together.
 _PROBE_CODE = """
-import hashlib, json, sys, time
+import hashlib, json, resource, sys, time
 import synth
-from wugnet import graph, learner
+from wugnet import graph, learner, matrix
 lexicon, curriculum, generics = synth.novel_members_inputs(int(sys.argv[1]), 1000, 3000)
 net = graph.ConceptNetwork()
 learner.learn_curriculum(net, curriculum, lexicon)
@@ -70,7 +82,17 @@ for instance in generics:
     learner.observe(net, instance, lexicon)
 seconds = time.perf_counter() - start
 text = graph.network_to_text(net)
-print(json.dumps({"seconds": seconds, "sha256": hashlib.sha256(text.encode()).hexdigest()}))
+m = matrix.build_matrix(net)
+start = time.perf_counter()
+leaves, tree = matrix.agglomerative_order(m)
+cluster_seconds = time.perf_counter() - start
+clusters = matrix.clusters_to_text(leaves, tree)
+print(json.dumps({
+    "seconds": seconds, "sha256": hashlib.sha256(text.encode()).hexdigest(),
+    "cluster_seconds": cluster_seconds,
+    "cluster_sha256": hashlib.sha256(clusters.encode()).hexdigest(),
+    # KiB on Linux
+    "peak_rss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024}))
 """
 
 
@@ -99,7 +121,7 @@ def _run(checkout: Path, workload: str, seed: int, seconds: float, trace: int) -
 
 
 def _probe(checkout: Path, seed: int) -> dict | None:
-    """One generics probe process of a checkout; its seconds and network sha256, or None."""
+    """One probe process of a checkout; its result JSON, or None if it failed."""
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
         str(checkout / d) for d in ("src", "perfbench"))}
     proc = subprocess.run([sys.executable, "-c", _PROBE_CODE, str(seed)], cwd=checkout,
@@ -114,15 +136,16 @@ def _probe(checkout: Path, seed: int) -> dict | None:
     return result
 
 
-def summarize_probe(runs: dict[str, list[dict | None]]) -> dict:
-    """Each side's minimum, median, times and network digests, and the ratio of the medians."""
-    out: dict = {"unit": "s", "better": "lower", "runs": len(runs["parent"])}
+def summarize_probe(runs: dict[str, list[dict | None]], name: str) -> dict:
+    """One probe's minimum, median, values and digests per side, and the ratio of the medians."""
+    unit, key, digest = PROBES[name]
+    out: dict = {"unit": unit, "better": "lower", "runs": len(runs["parent"])}
     for side in SIDES:
-        values = [run["seconds"] for run in runs[side] if run]
+        values = [run[key] for run in runs[side] if run]
         out[side] = {"min": min(values, default=None),
                      "median": statistics.median(values) if values else None,
                      "values": values,
-                     "sha256": sorted({run["sha256"] for run in runs[side] if run})}
+                     "sha256": sorted({run[digest] for run in runs[side] if run})}
     parent, change = out["parent"]["median"], out["change"]["median"]
     out["ratio"] = change / parent if parent and change is not None else None
     return out
@@ -218,8 +241,12 @@ def record(args) -> int:
 
     runs = [p[side] for w in workloads for p in pairs[w] for side in SIDES]
     runs += [traces[w][side] for w in workloads for side in SIDES]
+    clusters = {side: {run["cluster_sha256"] for run in probes[side] if run} for side in SIDES}
     correct = (all(run["correct"] is True for run in runs)
-               and all(run is not None for side in SIDES for run in probes[side]))
+               and all(run is not None for side in SIDES for run in probes[side])
+               and clusters["parent"] == clusters["change"])
+    if clusters["parent"] != clusters["change"]:
+        print("the two sides' cluster texts differ", file=sys.stderr)
     report = {
         "parent": parent_sha,
         "change": _git("rev-parse", "HEAD"),
@@ -232,7 +259,7 @@ def record(args) -> int:
         "correct": correct,
         "end_to_end": {w: summarize(pairs[w], benchmark["end_to_end"]) for w in workloads},
         "pairs": pairs,
-        "probes": {PROBE: summarize_probe(probes)},
+        "probes": {name: summarize_probe(probes, name) for name in PROBES},
         "per_layer": traces,
     }
     Path(args.out).write_text(json.dumps(report, indent=1) + "\n", encoding="utf-8")
@@ -262,9 +289,11 @@ def compare(a_path: str, b_path: str) -> int:
         cross = median / old_median if old_median and median is not None else None
         print(f"probe {name}: A ratio {_fmt(old and old['ratio'])}, "
               f"B ratio {_fmt(probe['ratio'])}, B/A change {_fmt(cross)}")
+        unit = probe["unit"]
         for side in SIDES:
-            print(f"  B {side:6s} min {_fmt(probe[side]['min'])} s, "
-                  f"median {_fmt(probe[side]['median'])} s over {len(probe[side]['values'])} runs")
+            print(f"  B {side:6s} min {_fmt(probe[side]['min'])} {unit}, "
+                  f"median {_fmt(probe[side]['median'])} {unit} "
+                  f"over {len(probe[side]['values'])} runs")
     return 0
 
 
