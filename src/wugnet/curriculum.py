@@ -13,9 +13,9 @@ curriculum it returns is learnable in order.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from itertools import chain
 from pathlib import Path
+from typing import NamedTuple
 
 from .errors import FormatError
 from .lang import (
@@ -121,9 +121,11 @@ def _verb_3sg(lexicon: Lexicon) -> dict[str, str]:
 _VERB_3SG = _verb_3sg(default_lexicon())
 
 
-@dataclass
-class CurriculumSpec:
-    """What to generate: phases, inventory, categories, actions, shuffle seed."""
+class CurriculumSpec(NamedTuple):
+    """What to generate: phases, inventory, categories, actions, shuffle seed.
+
+    A named tuple: immutable, and equal to a plain tuple of its fields.
+    """
 
     phases: tuple[str, ...]
     name: str = ""
@@ -133,8 +135,7 @@ class CurriculumSpec:
     seed: int = 0
 
 
-@dataclass(frozen=True)
-class Curriculum:
+class Curriculum(NamedTuple):
     name: str
     instances: tuple[LearningInstance, ...]
 

@@ -8,9 +8,13 @@ Each edge is stored once, as its float weight in its source's out-edge
 dict; a source's generic flags are a set of its (target, label) keys.
 Every edge write goes through one path, ConceptNetwork.write, and every
 node comes from add_concept; the two make every node and edge check, and
-the file loader adds only the checks of its own syntax. write also keeps
-a category -> members index, so members_of costs O(members) rather than
-a scan of every edge. member_average owns the float summation order of
+the file loader adds only the checks of its own syntax. write checks the
+target node and the label rule once per distinct (target, label) key,
+when the key first enters the network, and the weights on every write.
+The saver formats each distinct nonzero weight once, and the loader
+parses each distinct weight text once. write also keeps a category ->
+members index, so members_of costs O(members) rather than a scan of
+every edge. member_average owns the float summation order of
 feature inheritance: each mean is a left fold from +0.0 over the members'
 weights in members_of order, divided by the member count. Keeping that
 order fixed is what keeps saved network files byte-identical.
@@ -194,12 +198,14 @@ class ConceptNetwork:
     network holds tens of thousands, and none is tracked by the garbage
     collector. _keys holds one (target, label) tuple per distinct key, and
     write files a new edge under it, so the sources' dicts share a few
-    hundred key tuples rather than holding one each. edge() and edges()
-    return Edge snapshots built on the call.
+    hundred key tuples rather than holding one each. A key enters _keys
+    only after write's target and label checks pass in this network, and
+    none leaves it, so write skips those two checks for a key it holds.
+    edge() and edges() return Edge snapshots built on the call.
     add_concept is the one node path and write the one edge path: each
     makes every check of its kind, and the file loader goes through both.
-    copy() alone does not: it copies edges and member lists that have
-    already passed them.
+    copy() alone does not: it copies edges, keys and member lists that
+    have already passed them, with the nodes they name.
     When it creates an `is` edge into a category it inserts the source
     into that category's member list, kept sorted by (name, kind), so
     members_of is a copy of that list: O(members), not O(edges). A member
@@ -300,17 +306,24 @@ class ConceptNetwork:
         stored. old is 0.0 for an edge this write creates; the flag is the
         edge's after the write. Nothing changes unless every check passes.
         Each check is one probe; only a failed probe calls the helper that
-        raises the error naming it. A new `is` edge into a category joins
+        raises the error naming it. The target and label checks run only
+        for a (target, label) key not yet in _keys: a held key passed them
+        in this network, and its target is still a node. The weight checks
+        run on every write, after them, so each error and its order are as
+        without the skip. A new `is` edge into a category joins
         its source to the member list: an append when the source's name
         sorts after the last member's, an insort otherwise.
         """
         out = self._out.get(src)
         if out is None:
             self._require_member(src)
-        if dst not in self._out:
-            self._require_member(dst)
-        if (label, dst.kind) not in _EDGE_RULES:
-            _check_label(dst, label)
+        key = (dst, label)
+        held = self._keys.get(key)
+        if held is None:
+            if dst not in self._out:
+                self._require_member(dst)
+            if (label, dst.kind) not in _EDGE_RULES:
+                _check_label(dst, label)
         if weight is not None:
             if not 0.0 <= weight <= 1.0:
                 raise ValueError(f"edge weight {weight} outside [0, 1]")
@@ -318,11 +331,13 @@ class ConceptNetwork:
                 raise ValueError("generic edges must have weight 1.0")
         elif generic:
             raise ValueError("a plateauing write cannot mark an edge generic")
-        key = (dst, label)
+        if held is None:
+            self._keys[key] = key
+        else:
+            key = held
         old = out.get(key)
         if old is None:
             old = 0.0
-            key = self._keys.setdefault(key, key)
             if label == IS and dst.kind == CATEGORY:
                 members = self._members.setdefault(dst, [])
                 if not members or members[-1].name < src.name:
@@ -542,24 +557,25 @@ def network_to_text(net: ConceptNetwork) -> str:
     """Header, nodes sorted by kind and name, then edges sorted by source, target and label.
 
     Each node's key is formatted once, and so is each (target, label)'s
-    line tail, ` <label> <kind/name> %.17g generic:<0|1>`, in both flag
-    forms. The (target, label) keys are sorted once, across the network;
-    each source's out-edges are then walked in the node order, sorted by
-    their keys' ranks, ints, rather than by comparing tuples. The file is
-    one template, and one `%` fills in every weight, in line order:
-    `%.17g` is the conversion format(w, ".17g") makes (-0.0 prints -0),
-    and no `%` can reach the template, since every name matches NAME_RE.
+    middle, ` <label> <kind/name> `. The (target, label) keys are sorted
+    once, across the network; each source's out-edges are then walked in
+    the node order, sorted by their keys' ranks, ints, rather than by
+    comparing tuples. Each distinct nonzero weight is formatted once, as
+    format(w, ".17g") does, through a dict local to this call and keyed by
+    the float. Zeros are formatted on every edge: 0.0 == -0.0 would give
+    them one key, and -0.0 prints -0. Each line's pieces go straight into
+    one list, which is joined once.
     """
     nodes = net.concepts()
     names = {node: f"{node.kind}/{node.name}" for node in nodes}
     store, generic = net._out, net._generic
     keys = sorted({key for out in store.values() for key in out})
     rank = {key: i for i, key in enumerate(keys)}
-    tails = [(f" {label} {names[dst]} %.17g generic:0\n",
-              f" {label} {names[dst]} %.17g generic:1\n") for dst, label in keys]
+    middles = [f" {label} {names[dst]} " for dst, label in keys]
     parts = [f"{_HEADER}\n"]
     parts.extend(f"node {node.kind} {node.name}\n" for node in nodes)
-    weights: list[float] = []
+    append = parts.append
+    texts: dict[float, str] = {}
     for src in nodes:
         out = store[src]
         if out:
@@ -567,10 +583,17 @@ def network_to_text(net: ConceptNetwork) -> str:
             flags = generic.get(src, ())
             for i in sorted(map(rank.__getitem__, out)):
                 key = keys[i]
-                parts.append(head)
-                parts.append(tails[i][key in flags])
-                weights.append(out[key])
-    return "".join(parts) % tuple(weights)
+                weight = out[key]
+                text = texts.get(weight)
+                if text is None:
+                    text = "%.17g" % weight
+                    if weight:
+                        texts[weight] = text
+                append(head)
+                append(middles[i])
+                append(text)
+                append(" generic:1\n" if key in flags else " generic:0\n")
+    return "".join(parts)
 
 
 def network_from_text(text: str) -> ConceptNetwork:

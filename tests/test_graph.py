@@ -212,6 +212,89 @@ def test_set_strength_validates(net):
     assert net.members_of(animal) == [c]
 
 
+# write's errors, each raised before any change. write skips the target and
+# label checks for a (target, label) key the network already holds, so each
+# case runs with its key new to the network and with the key held by another
+# source, in the network and in a copy of it. A key that breaks the label rule
+# or names a foreign node can never be held, so those cases' held variants
+# hold the target under its valid label.
+WRITE_ERRORS = [
+    ("label wrong for the target", ("a", "red", SLOT1, 0.5, False),
+     EdgeRuleError, "slot-1 edge must point at an action, not attribute/red"),
+    ("unknown label", ("a", "red", "has", 0.5, False),
+     EdgeRuleError, "unknown edge label 'has'"),
+    ("label wrong, weight too", ("a", "red", SLOT1, 1.5, True),
+     EdgeRuleError, "slot-1 edge must point at an action, not attribute/red"),
+    ("target not a node", ("a", "ghost", IS, 0.5, False),
+     KeyError, "concept attribute/ghost is not in this network"),
+    ("target not a node, weight too", ("a", "ghost", IS, 1.5, False),
+     KeyError, "concept attribute/ghost is not in this network"),
+    ("source not a node", ("stray", "red", IS, 0.5, False),
+     KeyError, "concept object/stray is not in this network"),
+    ("weight above 1", ("a", "red", IS, 1.5, False),
+     ValueError, "edge weight 1.5 outside [0, 1]"),
+    ("weight below 0", ("a", "red", IS, -0.5, False),
+     ValueError, "edge weight -0.5 outside [0, 1]"),
+    ("weight nan", ("a", "animal", IS, float("nan"), False),
+     ValueError, "edge weight nan outside [0, 1]"),
+    ("weight out of range and generic", ("a", "animal", IS, 1.5, True),
+     ValueError, "edge weight 1.5 outside [0, 1]"),
+    ("generic below 1.0", ("a", "animal", IS, 0.5, True),
+     ValueError, "generic edges must have weight 1.0"),
+    ("plateau marked generic", ("a", "animal", IS, None, True),
+     ValueError, "a plateauing write cannot mark an edge generic"),
+]
+
+
+def _write_error_network(keys):
+    net = ConceptNetwork()
+    a, c = net.add_concept("a", OBJECT), net.add_concept("c", OBJECT)
+    red, animal = net.add_concept("red", ATTRIBUTE), net.add_concept("animal", CATEGORY)
+    net.add_concept("roll", ACTION)
+    if keys != "new":
+        net.write(c, red, IS, None, False)
+        net.write(c, animal, IS, 1.0, True)
+    nodes = {"a": a, "red": red, "animal": animal,
+             "ghost": ConceptNetwork().add_concept("ghost", ATTRIBUTE),
+             "stray": ConceptNetwork().add_concept("stray", OBJECT)}
+    return (net.copy() if keys == "held in a copy" else net), nodes
+
+
+@pytest.mark.parametrize("keys", ["new", "held", "held in a copy"])
+@pytest.mark.parametrize("case,args,error,message", WRITE_ERRORS, ids=[c[0] for c in WRITE_ERRORS])
+def test_write_errors_are_the_same_for_new_and_held_keys(keys, case, args, error, message):
+    net, nodes = _write_error_network(keys)
+    src, dst, label, weight, generic = args
+    src, dst = nodes[src], nodes[dst]
+    animal = nodes["animal"]
+    held = (dst, label) in net._keys
+    assert held == (keys != "new" and dst.name in ("red", "animal") and label == IS)
+    before = (network_to_text(net), net.edge_count(), dict(net._keys), net.members_of(animal))
+    with pytest.raises(error) as err:
+        net.write(src, dst, label, weight, generic)
+    assert err.value.args[0] == message
+    assert (network_to_text(net), net.edge_count(), dict(net._keys),
+            net.members_of(animal)) == before
+    # the same write with a valid label, nodes and weight then succeeds
+    if not isinstance(err.value, KeyError):
+        assert net.write(src, dst, IS, 1.0, True) == (0.0, 1.0, True)
+
+
+def test_a_held_key_is_written_through_a_copy_alone():
+    net, nodes = _write_error_network("held")
+    a, red, animal = nodes["a"], nodes["red"], nodes["animal"]
+    text = network_to_text(net)
+    other = net.copy()
+    assert other.write(a, red, IS, None, False) == (0.0, 0.2, False)
+    assert other.write(a, animal, IS, 1.0, True) == (0.0, 1.0, True)
+    # the copy files both edges under the keys it copied, and the original has neither
+    assert {id(k) for k in other._out[a]} == {id(net._keys[(red, IS)]), id(net._keys[(animal, IS)])}
+    c = net.get("c", OBJECT)
+    assert other.members_of(animal) == [a, c]
+    assert network_to_text(net) == text and net.members_of(animal) == [c]
+    assert net.get_strength(a, red, IS) == 0.0
+
+
 # -- persistence ---------------------------------------------------------
 
 def test_empty_network_round_trips():

@@ -37,7 +37,10 @@ MEMBERS = tuple(f"m-{a}{b}" for a in "abc" for b in "abcdefghijklmnop")
 NAMES = ("m", "m-", "m-a", "m-ab-a", "m-abc", "m-b", "m-cz", "dog", "red", "eat", "food", "zz")
 TARGET_KINDS = {SLOT1: (ACTION,), SLOT2: (ACTION,), IS: (ATTRIBUTE, CATEGORY)}
 
-weights = st.one_of(st.sampled_from([0.0, -0.0, 0.2, 0.36, 1.0]),
+# the saver formats each distinct nonzero weight once, so a network holds
+# each of these on any number of edges; 0.1's repr is shorter than its
+# %.17g text, 0.10000000000000001
+weights = st.one_of(st.sampled_from([0.0, -0.0, 0.2, 0.36, 1.0, 0.1 + 0.2, 0.1]),
                     st.floats(min_value=0.0, max_value=1.0), st.none())
 
 
@@ -54,7 +57,7 @@ def networks(draw, max_nodes=25, max_writes=40, sizes=(0, 1, 3, FOLD_MIN_MEMBERS
         kind_node = net.add_concept("kind", CATEGORY)
         for name in draw(st.permutations(MEMBERS))[:size]:
             net.write(net.add_concept(name, OBJECT), kind_node, IS,
-                      draw(st.sampled_from([1.0, 0.2, 0.0, -0.0])), False)
+                      draw(st.sampled_from([1.0, 0.2, 0.0, -0.0, 0.1 + 0.2])), False)
     nodes = net.concepts()
     for _ in range(draw(st.integers(0, max_writes)) if nodes else 0):
         src = draw(st.sampled_from(nodes))
@@ -92,10 +95,23 @@ def test_signed_zero_weights_keep_their_text():
     green = net.add_concept("green", ATTRIBUTE)
     net.write(dog, red, IS, -0.0, False)
     net.write(dog, green, IS, 0.0, False)
+    # each zero on several edges, in both orders, and nonzero weights the
+    # saver formats once: one on many edges, and 0.1 + 0.2 and 0.1, whose
+    # %.17g texts are 0.30000000000000004 and 0.10000000000000001
+    hens = [net.add_concept(f"hen-{c}", OBJECT) for c in "abcdefgh"]
+    for i, hen in enumerate(hens):
+        net.write(hen, red, IS, (0.0, -0.0)[i % 2], False)
+        net.write(hen, green, IS, (-0.0, 0.0)[i % 2], False)
+        net.write(hen, net.add_concept("animal", CATEGORY), IS, 1.0, i % 3 == 0)
+        net.write(hen, net.add_concept("eat", ACTION), SLOT1, (0.1 + 0.2, 0.1, 0.36)[i % 3], False)
     text = network_to_text(net)
     assert text == old.network_to_text(net)
     assert "edge object/dog is attribute/red -0 generic:0" in text
     assert "edge object/dog is attribute/green 0 generic:0" in text
+    assert text.count(" -0 generic:0") == text.count(" 0 generic:0") == 9
+    assert text.count(" 1 generic:") == 8
+    assert "edge object/hen-a slot-1 action/eat 0.30000000000000004 generic:0" in text
+    assert "edge object/hen-b slot-1 action/eat 0.10000000000000001 generic:0" in text
     # one parse per weight text: -0 and 0 load as the floats they spell
     assert network_to_text(network_from_text(text)) == text
 

@@ -28,6 +28,9 @@ novel-members inputs at the run's seed, with 3000 generics in place of
 1000), then clusters the network's matrix (4045 rows at seed 0):
   - `novel_members_3000_generics_s`, the generics' wall time, with the
     sha256 of the final network text;
+  - `save_load_3000_generics_ms`, one `network_to_text` and one
+    `network_from_text` of that network (46k edges at seed 0), timed
+    together, with the same sha256;
   - `clustering_s`, the wall time of `agglomerative_order` alone, with
     the sha256 of the cluster text;
   - `clustering_peak_rss_mb`, the process's peak RSS after clustering.
@@ -35,7 +38,7 @@ Each holds each side's minimum, median and values, the ratio of the
 medians, and each side's digests.
 
 Exits 1 if any run, traced or not, does not read `correct`, a probe
-process fails, or the two sides' cluster texts differ.
+process fails, or the two sides' network or cluster texts differ.
 
 `--compare A B` prints, per workload and metric, each file's ratio and the
 ratio of B's change median to A's, and the same for each probe.
@@ -63,6 +66,7 @@ SIDES = ("parent", "change")
 # probe name: (unit, the probe process's value key, its digest key)
 PROBES = {
     "novel_members_3000_generics_s": ("s", "seconds", "sha256"),
+    "save_load_3000_generics_ms": ("ms", "save_load_ms", "sha256"),
     "clustering_s": ("s", "cluster_seconds", "cluster_sha256"),
     "clustering_peak_rss_mb": ("MB", "peak_rss_mb", "cluster_sha256"),
 }
@@ -81,7 +85,10 @@ start = time.perf_counter()
 for instance in generics:
     learner.observe(net, instance, lexicon)
 seconds = time.perf_counter() - start
+start = time.perf_counter()
 text = graph.network_to_text(net)
+loaded = graph.network_from_text(text)  # kept, as the CI step keeps it, for a comparable peak
+save_load_ms = (time.perf_counter() - start) * 1000
 m = matrix.build_matrix(net)
 start = time.perf_counter()
 leaves, tree = matrix.agglomerative_order(m)
@@ -89,6 +96,7 @@ cluster_seconds = time.perf_counter() - start
 clusters = matrix.clusters_to_text(leaves, tree)
 print(json.dumps({
     "seconds": seconds, "sha256": hashlib.sha256(text.encode()).hexdigest(),
+    "save_load_ms": save_load_ms,
     "cluster_seconds": cluster_seconds,
     "cluster_sha256": hashlib.sha256(clusters.encode()).hexdigest(),
     # KiB on Linux
@@ -241,12 +249,14 @@ def record(args) -> int:
 
     runs = [p[side] for w in workloads for p in pairs[w] for side in SIDES]
     runs += [traces[w][side] for w in workloads for side in SIDES]
-    clusters = {side: {run["cluster_sha256"] for run in probes[side] if run} for side in SIDES}
+    # each digest the probes record: the network text's and the cluster text's
+    differ = [key for key in sorted({digest for _, _, digest in PROBES.values()})
+              if len({frozenset(run[key] for run in probes[side] if run) for side in SIDES}) > 1]
+    for key in differ:
+        print(f"the two sides' probe texts differ in {key}", file=sys.stderr)
     correct = (all(run["correct"] is True for run in runs)
                and all(run is not None for side in SIDES for run in probes[side])
-               and clusters["parent"] == clusters["change"])
-    if clusters["parent"] != clusters["change"]:
-        print("the two sides' cluster texts differ", file=sys.stderr)
+               and not differ)
     report = {
         "parent": parent_sha,
         "change": _git("rev-parse", "HEAD"),
