@@ -22,10 +22,13 @@ nproc, load average at start and end) leads the file.
 
 Under `probes` the file holds scale figures perfbench does not measure,
 read from one probe process per side for each pair, alternating which
-side goes first, after the pairs. A probe process teaches 3000
-novel-member generics after the 1000-noun curriculum (perfbench's
-novel-members inputs at the run's seed, with 3000 generics in place of
-1000), then clusters the network's matrix (4045 rows at seed 0):
+side goes first, after the pairs. A probe process builds perfbench's
+novel-members inputs at the run's seed with 3000 generics in place of
+1000, learns the 1000-noun curriculum untimed, then times the 3000
+novel-member generics; it does this three times, from fresh inputs each
+time. It then saves and loads the last network five times and clusters
+its matrix (4045 rows at seed 0) three times. Each span's value is the
+process's median, so one process gives one value per probe:
   - `novel_members_3000_generics_s`, the generics' wall time, with the
     sha256 of the final network text;
   - `save_load_3000_generics_ms`, one `network_to_text` and one
@@ -33,9 +36,13 @@ novel-members inputs at the run's seed, with 3000 generics in place of
     together, with the same sha256;
   - `clustering_s`, the wall time of `agglomerative_order` alone, with
     the sha256 of the cluster text;
-  - `clustering_peak_rss_mb`, the process's peak RSS after clustering.
+  - `clustering_peak_rss_mb`, the process's peak RSS after clustering;
+  - `clustering_traced_peak_mb`, the `tracemalloc` peak of one more,
+    untimed `agglomerative_order` call (numpy's buffers included), which
+    unlike the RSS does not move with the allocator's mmap threshold.
 Each holds each side's minimum, median and values, the ratio of the
-medians, and each side's digests.
+medians, and each side's digests. A probe process whose peak RSS exceeds
+PEAK_RSS_LIMIT_MB exits 1 after printing its figures.
 
 Exits 1 if any run, traced or not, does not read `correct`, a probe
 process fails, or the two sides' network or cluster texts differ.
@@ -69,38 +76,49 @@ PROBES = {
     "save_load_3000_generics_ms": ("ms", "save_load_ms", "sha256"),
     "clustering_s": ("s", "cluster_seconds", "cluster_sha256"),
     "clustering_peak_rss_mb": ("MB", "peak_rss_mb", "cluster_sha256"),
+    "clustering_traced_peak_mb": ("MB", "traced_peak_mb", "cluster_sha256"),
 }
-# One probe process: argv[1] is the seed. Learning the curriculum is not timed.
-# The same inputs, timed spans, digest and peak RSS as the CI step "Cluster the
-# 4045-row novel-members network" in .github/workflows/tests.yml: change both
-# together.
+# The scale scenario's memory gate: a probe process, on either side, fails above it.
+PEAK_RSS_LIMIT_MB = 300
+# One probe process: argv[1] is the seed, argv[2] the peak RSS limit in MB.
+# Building the inputs and learning the curriculum are not timed; fresh inputs
+# give each generics run a cold parse memo.
 _PROBE_CODE = """
-import hashlib, json, resource, sys, time
+import hashlib, json, resource, statistics, sys, time, tracemalloc
 import synth
 from wugnet import graph, learner, matrix
-lexicon, curriculum, generics = synth.novel_members_inputs(int(sys.argv[1]), 1000, 3000)
-net = graph.ConceptNetwork()
-learner.learn_curriculum(net, curriculum, lexicon)
-start = time.perf_counter()
-for instance in generics:
-    learner.observe(net, instance, lexicon)
-seconds = time.perf_counter() - start
-start = time.perf_counter()
-text = graph.network_to_text(net)
-loaded = graph.network_from_text(text)  # kept, as the CI step keeps it, for a comparable peak
-save_load_ms = (time.perf_counter() - start) * 1000
+spans = {"seconds": [], "save_load_ms": [], "cluster_seconds": []}
+for _ in range(3):
+    lexicon, curriculum, generics = synth.novel_members_inputs(int(sys.argv[1]), 1000, 3000)
+    net = graph.ConceptNetwork()
+    learner.learn_curriculum(net, curriculum, lexicon)
+    start = time.perf_counter()
+    for instance in generics:
+        learner.observe(net, instance, lexicon)
+    spans["seconds"].append(time.perf_counter() - start)
+for _ in range(5):
+    start = time.perf_counter()
+    text = graph.network_to_text(net)
+    loaded = graph.network_from_text(text)  # kept through clustering, for a comparable peak
+    spans["save_load_ms"].append((time.perf_counter() - start) * 1000)
 m = matrix.build_matrix(net)
-start = time.perf_counter()
-leaves, tree = matrix.agglomerative_order(m)
-cluster_seconds = time.perf_counter() - start
+for _ in range(3):
+    start = time.perf_counter()
+    leaves, tree = matrix.agglomerative_order(m)
+    spans["cluster_seconds"].append(time.perf_counter() - start)
+peak_rss_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024  # KiB on Linux
+tracemalloc.start()
+matrix.agglomerative_order(m)
+traced_peak_mb = tracemalloc.get_traced_memory()[1] / 2**20
+tracemalloc.stop()
 clusters = matrix.clusters_to_text(leaves, tree)
 print(json.dumps({
-    "seconds": seconds, "sha256": hashlib.sha256(text.encode()).hexdigest(),
-    "save_load_ms": save_load_ms,
-    "cluster_seconds": cluster_seconds,
+    **{key: statistics.median(values) for key, values in spans.items()},
+    "sha256": hashlib.sha256(text.encode()).hexdigest(),
     "cluster_sha256": hashlib.sha256(clusters.encode()).hexdigest(),
-    # KiB on Linux
-    "peak_rss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024}))
+    "peak_rss_mb": peak_rss_mb, "traced_peak_mb": traced_peak_mb}))
+if peak_rss_mb > float(sys.argv[2]):
+    sys.exit(f"peak RSS {peak_rss_mb:.0f} MB is above the {sys.argv[2]} MB limit")
 """
 
 
@@ -132,8 +150,8 @@ def _probe(checkout: Path, seed: int) -> dict | None:
     """One probe process of a checkout; its result JSON, or None if it failed."""
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
         str(checkout / d) for d in ("src", "perfbench"))}
-    proc = subprocess.run([sys.executable, "-c", _PROBE_CODE, str(seed)], cwd=checkout,
-                          env=env, capture_output=True, text=True)
+    proc = subprocess.run([sys.executable, "-c", _PROBE_CODE, str(seed), str(PEAK_RSS_LIMIT_MB)],
+                          cwd=checkout, env=env, capture_output=True, text=True)
     try:
         result = json.loads(proc.stdout.strip().splitlines()[-1])
     except (IndexError, ValueError):
