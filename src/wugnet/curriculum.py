@@ -432,10 +432,6 @@ def curriculum_from_text(text: str, name: str = "unnamed",
     return Curriculum(name, tuple(instances))
 
 
-def save_curriculum(curriculum: Curriculum, destination: str | Path) -> None:
-    Path(destination).write_text(curriculum_to_text(curriculum), encoding="utf-8")
-
-
 def load_curriculum(source: str | Path, lexicon: Lexicon | None = None) -> Curriculum:
     path = Path(source)
     return curriculum_from_text(path.read_text(encoding="utf-8"), path.stem, lexicon)

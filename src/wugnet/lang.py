@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import re
 from functools import lru_cache
-from pathlib import Path
 from typing import NamedTuple
 
 from .errors import FormatError
@@ -136,10 +135,6 @@ class Lexicon:
                 line += f" plural-of={e.plural_of}"
             lines.append(line)
         return "\n".join(lines) + "\n"
-
-
-def load_lexicon(source: str | Path) -> Lexicon:
-    return Lexicon.from_text(Path(source).read_text(encoding="utf-8"))
 
 
 # Every word the built-in curricula can emit. Plural noun forms are listed

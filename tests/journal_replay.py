@@ -12,16 +12,11 @@ replayed edge's (0.0 for a new edge), and in a plain report its new
 weight must be the plateau update old + r * (1 - old), bit for bit, or
 old itself on a generic edge. A failed check raises ValueError naming
 the instance and the edge.
-
-Run as a script to replay a journal file into a network file:
-
-    PYTHONPATH=src:tests python tests/journal_replay.py NET.trace.jsonl OUT.net
 """
 
 import json
-import sys
 
-from wugnet.graph import LEARNING_RATE, ConceptNetwork, save_network
+from wugnet.graph import LEARNING_RATE, ConceptNetwork
 
 
 def replay(lines) -> ConceptNetwork:
@@ -46,9 +41,3 @@ def replay(lines) -> ConceptNetwork:
                     raise ValueError(f"{where}: journalled new weight {new!r}, plateau {plateau!r}")
             net.write(nodes[src], nodes[dst], label, new, generic)
     return net
-
-
-if __name__ == "__main__":
-    journal, destination = sys.argv[1:]
-    with open(journal, encoding="utf-8") as f:
-        save_network(replay(f), destination)

@@ -294,19 +294,38 @@ sys.exit(code or (4 if loaded else 0))
 """
 
 
-def run_fresh(*argv):
-    """`wugnet <argv>` in a fresh interpreter that imports this checkout's wugnet."""
+def python(*args):
+    """`python <args>` in a fresh interpreter that imports this checkout's wugnet."""
     src = str(Path(wugnet.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         p for p in (src, os.environ.get("PYTHONPATH")) if p))
-    return subprocess.run([sys.executable, "-c", NUMPY_CHECK, *argv], env=env,
+    return subprocess.run([sys.executable, *args], env=env,
                           capture_output=True, text=True, timeout=60)
+
+
+def run_fresh(*argv):
+    """`wugnet <argv>` through NUMPY_CHECK in a fresh interpreter."""
+    return python("-c", NUMPY_CHECK, *argv)
 
 
 def wugnet_modules(run) -> set[str]:
     """The wugnet modules a run_fresh run reports it loaded."""
     line = next(line for line in run.stderr.splitlines() if line.startswith("wugnet modules: "))
     return set(ast.literal_eval(line[len("wugnet modules: "):]))
+
+
+# The console script calls cli.main itself, so only `python -m wugnet.cli`
+# runs cli.py's __main__ guard.
+def test_python_m_wugnet_cli_runs_main():
+    helped = python("-m", "wugnet.cli", "--help")
+    assert helped.returncode == 0, helped.stderr
+    assert helped.stdout.startswith("usage: wugnet")
+
+
+def test_python_m_wugnet_cli_exits_with_mains_code():
+    bare = python("-m", "wugnet.cli", "learn")
+    assert bare.returncode == 1
+    assert "the following arguments are required" in bare.stderr
 
 
 def test_learn_and_query_do_not_import_numpy(tmp_path, capsys):

@@ -226,6 +226,7 @@ def test_round_trip_preserves_structure(name, seed):
     else:
         lexicon, cur = None, builtin_curriculum(name, seed=seed)
     again = curriculum_from_text(curriculum_to_text(cur), lexicon=lexicon)
+    assert curriculum_to_text(again) == curriculum_to_text(cur)
     assert again.name == cur.name
     assert again.instances == cur.instances
     # tuple equality alone would pass a loader that builds plain tuples
